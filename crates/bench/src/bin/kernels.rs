@@ -20,7 +20,6 @@ use std::time::Instant;
 use mda_bench::kernels_baseline as baseline;
 use mda_bench::Table;
 use mda_distance::mining::SubsequenceSearch;
-use mda_distance::quantized::QuantizedDtw;
 use mda_distance::{Band, BatchEngine, DpScratch, Dtw, EditDistance, Lcs};
 
 fn wave(i: usize, k: f64, amp: f64) -> f64 {
@@ -219,21 +218,6 @@ fn kernel_rows(pairs: usize, len: usize) -> (Vec<KernelRow>, usize) {
         baseline_ns_per_cell: t_base * 1e9 / cells as f64,
         new_ns_per_cell: t_new * 1e9 / cells as f64,
         identical: sum_base.to_bits() == sum_new.to_bits(),
-    });
-
-    // Quantized opt-in path (i16 codes, f32 accumulation). No bitwise gate
-    // — its contract is the behavioural bound, tested in mda-conformance —
-    // so it reports throughput only, against the exact full-band baseline.
-    let (t_quant, _) = best_of_3(|| {
-        let qd = QuantizedDtw::paper_reference();
-        inputs.iter().map(|(p, q)| qd.distance(p, q).unwrap()).sum()
-    });
-    rows.push(KernelRow {
-        name: "dtw_quantized",
-        cells,
-        baseline_ns_per_cell: t_base * 1e9 / cells as f64,
-        new_ns_per_cell: t_quant * 1e9 / cells as f64,
-        identical: true,
     });
 
     (rows, mismatches)

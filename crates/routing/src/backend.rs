@@ -1,4 +1,4 @@
-//! The [`DistanceBackend`] trait: one capability surface over the four
+//! The [`DistanceBackend`] trait: one capability surface over the three
 //! answer paths.
 
 use std::fmt;
@@ -10,40 +10,28 @@ use mda_distance::{DistanceError, DistanceKind, DpScratch};
 /// Which answer path a backend wraps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendId {
-    /// The digital DP library, bitwise identical to direct calls.
+    /// The digital DP library, bitwise identical to direct calls. Served
+    /// subsequence searches (the exact UCR cascade) report this path too.
     DigitalExact,
-    /// The UCR lower-bound cascade — still exact, prunes instead of
-    /// approximating. The serving tier's subsequence-search path.
-    DigitalPruned,
     /// The behavioural (array-level) analog accelerator model.
     Analog,
     /// The aCAM one-shot matching plane — thresholded kinds only, one
     /// precharge/sense cycle per word instead of a DP iteration.
     Acam,
-    /// The device-level SPICE-solved PE netlists.
-    Spice,
 }
 
 impl BackendId {
-    /// All five backends, cheapest-to-validate first. Declaration order —
-    /// the server's metrics index counters by discriminant and label them
-    /// by this array, so the two must stay aligned.
-    pub const ALL: [BackendId; 5] = [
-        BackendId::DigitalExact,
-        BackendId::DigitalPruned,
-        BackendId::Analog,
-        BackendId::Acam,
-        BackendId::Spice,
-    ];
+    /// All three backends in declaration order (`ALL[i] as usize == i`):
+    /// the server sizes and indexes its per-backend counters by
+    /// discriminant.
+    pub const ALL: [BackendId; 3] = [BackendId::DigitalExact, BackendId::Analog, BackendId::Acam];
 
     /// The wire name reported on routed replies.
     pub fn as_str(self) -> &'static str {
         match self {
             BackendId::DigitalExact => "digital_exact",
-            BackendId::DigitalPruned => "digital_pruned",
             BackendId::Analog => "analog",
             BackendId::Acam => "acam",
-            BackendId::Spice => "spice",
         }
     }
 }
@@ -62,10 +50,13 @@ pub struct ParseBackendIdError {
 
 impl fmt::Display for ParseBackendIdError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names = BackendId::ALL.map(BackendId::as_str);
+        let (last, rest) = names.split_last().expect("ALL is non-empty");
         write!(
             f,
-            "unknown backend `{}` (expected digital_exact, digital_pruned, analog, acam or spice)",
-            self.name
+            "unknown backend `{}` (expected {} or {last})",
+            self.name,
+            rest.join(", ")
         )
     }
 }
@@ -170,7 +161,7 @@ pub trait DistanceBackend: Send + Sync {
 
     /// The calibrated error bound this backend guarantees against the
     /// digital reference at `(kind, len)`. [`Bound::EXACT`] for the
-    /// digital paths.
+    /// digital path.
     fn bound(&self, kind: DistanceKind, len: usize) -> Bound;
 
     /// Modeled power draw while answering `(kind, len)`, watts.
@@ -202,6 +193,16 @@ mod tests {
             assert_eq!(id.as_str().parse::<BackendId>(), Ok(id));
         }
         let err = "fpga".parse::<BackendId>().unwrap_err();
-        assert!(err.to_string().contains("`fpga`"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "unknown backend `fpga` (expected digital_exact, analog or acam)"
+        );
+    }
+
+    #[test]
+    fn all_is_indexed_by_discriminant() {
+        for (i, id) in BackendId::ALL.into_iter().enumerate() {
+            assert_eq!(id as usize, i, "{id}");
+        }
     }
 }

@@ -1,14 +1,13 @@
-//! The five [`DistanceBackend`] implementations, each wrapping one of the
+//! The three [`DistanceBackend`] implementations, each wrapping one of the
 //! repo's existing answer paths without changing its semantics.
 
 use std::sync::OnceLock;
 
 use mda_acam::OneShotMatcher;
 use mda_core::accelerator::FunctionParams;
-use mda_core::bounds::{acam, behavioural, spice, Bound};
-use mda_core::{pe, AcceleratorConfig, DistanceAccelerator};
+use mda_core::bounds::{acam, behavioural, Bound};
+use mda_core::{AcceleratorConfig, DistanceAccelerator};
 use mda_distance::dtw::Band;
-use mda_distance::lower_bounds::cascading_dtw_with;
 use mda_distance::{
     Distance, DistanceKind, DpScratch, Dtw, EditDistance, Hamming, Hausdorff, Lcs, Manhattan,
 };
@@ -73,50 +72,6 @@ impl DistanceBackend for DigitalExactBackend {
             DistanceKind::Manhattan => Manhattan::new().evaluate_with(p, q, scratch),
         }?;
         Ok(value)
-    }
-}
-
-/// The UCR lower-bound cascade — DTW only. Still exact in value (the
-/// cascade only skips work it can prove irrelevant), but entered through
-/// the pruning pipeline rather than the plain DP, so the serving tier's
-/// subsequence-search path is a first-class backend too.
-#[derive(Debug, Default)]
-pub struct DigitalPrunedBackend;
-
-impl DistanceBackend for DigitalPrunedBackend {
-    fn id(&self) -> BackendId {
-        BackendId::DigitalPruned
-    }
-
-    fn supports(&self, kind: DistanceKind, _len: usize) -> bool {
-        kind == DistanceKind::Dtw
-    }
-
-    fn bound(&self, _kind: DistanceKind, _len: usize) -> Bound {
-        Bound::EXACT
-    }
-
-    fn power_w(&self, _kind: DistanceKind, _len: usize) -> f64 {
-        DIGITAL_HOST_WATTS
-    }
-
-    fn evaluate(
-        &self,
-        req: &PairRequest,
-        p: &[f64],
-        q: &[f64],
-        scratch: &mut DpScratch,
-    ) -> Result<f64, BackendError> {
-        if req.kind != DistanceKind::Dtw {
-            return Err(BackendError::Unsupported("non-DTW pruned evaluation"));
-        }
-        // A radius covering the longer side makes Sakoe–Chiba the full
-        // matrix, matching the executor's unbanded default.
-        let r = req.band.unwrap_or_else(|| p.len().max(q.len()));
-        // With no best-so-far nothing can prune, so the cascade always
-        // reaches the DP and carries a computed value.
-        let decision = cascading_dtw_with(p, q, r, f64::INFINITY, scratch)?;
-        Ok(decision.value())
     }
 }
 
@@ -193,96 +148,6 @@ impl DistanceBackend for AnalogBackend {
     }
 }
 
-/// The device-level SPICE-solved PE netlists. Size-gated like the
-/// conformance harness's SPICE layer (matrix netlists grow O(m·n) MNA
-/// nodes), and more expensive than everything else — the host solves the
-/// netlist *and* models the fabric — so the router never auto-picks it,
-/// but it stays addressable as a first-class backend.
-#[derive(Debug)]
-pub struct SpiceBackend {
-    config: AcceleratorConfig,
-    budget: PowerBudget,
-}
-
-/// Largest per-side length the matrix-structure netlists (DTW/LCS/EdD/HauD)
-/// are solved at.
-const SPICE_MATRIX_CAP: usize = 3;
-/// Largest length the row-structure netlists (HamD/MD) are solved at.
-const SPICE_ROW_CAP: usize = 8;
-
-impl SpiceBackend {
-    /// A SPICE backend over the given fabric configuration.
-    pub fn new(config: AcceleratorConfig) -> SpiceBackend {
-        SpiceBackend {
-            budget: PowerBudget::new(config.clone()),
-            config,
-        }
-    }
-}
-
-impl Default for SpiceBackend {
-    fn default() -> Self {
-        SpiceBackend::new(AcceleratorConfig::paper_defaults())
-    }
-}
-
-impl DistanceBackend for SpiceBackend {
-    fn id(&self) -> BackendId {
-        BackendId::Spice
-    }
-
-    fn supports(&self, kind: DistanceKind, len: usize) -> bool {
-        if kind.uses_matrix_structure() {
-            len <= SPICE_MATRIX_CAP
-        } else {
-            len <= SPICE_ROW_CAP
-        }
-    }
-
-    fn bound(&self, kind: DistanceKind, _len: usize) -> Bound {
-        spice(kind)
-    }
-
-    fn power_w(&self, kind: DistanceKind, len: usize) -> f64 {
-        // The fabric draws its analog budget while the digital host solves
-        // the netlist: strictly the most expensive way to get an answer.
-        self.budget
-            .breakdown(kind, len.max(1), PAPER_ELEMENT_RATE)
-            .total_w()
-            + DIGITAL_HOST_WATTS
-    }
-
-    fn evaluate(
-        &self,
-        req: &PairRequest,
-        p: &[f64],
-        q: &[f64],
-        _scratch: &mut DpScratch,
-    ) -> Result<f64, BackendError> {
-        if req.band.is_some() {
-            // The device netlists hard-wire the full recurrence fabric.
-            return Err(BackendError::Unsupported("banded DTW SPICE netlists"));
-        }
-        if !self.supports(req.kind, p.len().max(q.len())) {
-            return Err(BackendError::Unsupported("netlists above the size cap"));
-        }
-        let threshold = req.threshold.unwrap_or(DEFAULT_THRESHOLD);
-        let value = match req.kind {
-            DistanceKind::Dtw => pe::dtw::evaluate_dc(&self.config, p, q, 1.0),
-            DistanceKind::Lcs => pe::lcs::evaluate_dc(&self.config, p, q, threshold, 1.0),
-            DistanceKind::Edit => pe::edit::evaluate_dc(&self.config, p, q, threshold),
-            DistanceKind::Hausdorff => pe::hausdorff::evaluate_dc(&self.config, p, q, 1.0),
-            DistanceKind::Hamming => {
-                pe::hamming::evaluate_dc(&self.config, p, q, threshold, &vec![1.0; p.len()])
-            }
-            DistanceKind::Manhattan => {
-                pe::manhattan::evaluate_dc(&self.config, p, q, &vec![1.0; p.len()])
-            }
-        }?;
-        Ok(value)
-    }
-}
-
 /// The aCAM one-shot matching plane: thresholded kinds (HamD, thresholded
 /// EdD/LCS) answered by interval-comparator match lines instead of a DP
 /// iteration. The routed backend models a *tuned* array (closed-loop
@@ -305,19 +170,13 @@ const ACAM_MAX_LEN: usize = 1024;
 /// fraction of the analog budget for the same request.
 const ACAM_DUTY: f64 = 0.25;
 
-impl AcamBackend {
-    /// An aCAM backend drawing against the given fabric configuration's
-    /// power model.
-    pub fn new(config: AcceleratorConfig) -> AcamBackend {
-        AcamBackend {
-            budget: PowerBudget::new(config),
-        }
-    }
-}
-
 impl Default for AcamBackend {
+    /// An aCAM backend drawing against the paper-default fabric's power
+    /// model.
     fn default() -> Self {
-        AcamBackend::new(AcceleratorConfig::paper_defaults())
+        AcamBackend {
+            budget: PowerBudget::new(AcceleratorConfig::paper_defaults()),
+        }
     }
 }
 
@@ -366,48 +225,27 @@ impl DistanceBackend for AcamBackend {
     }
 }
 
-/// All five backends over one fabric configuration.
+/// All three backends over the paper-default fabric.
 #[derive(Debug, Default)]
 pub struct BackendSet {
     digital_exact: DigitalExactBackend,
-    digital_pruned: DigitalPrunedBackend,
     analog: AnalogBackend,
     acam: AcamBackend,
-    spice: SpiceBackend,
 }
 
 impl BackendSet {
-    /// A set over the given fabric configuration (the digital paths are
-    /// configuration-free).
-    pub fn new(config: AcceleratorConfig) -> BackendSet {
-        BackendSet {
-            digital_exact: DigitalExactBackend,
-            digital_pruned: DigitalPrunedBackend,
-            analog: AnalogBackend::new(config.clone()),
-            acam: AcamBackend::new(config.clone()),
-            spice: SpiceBackend::new(config),
-        }
-    }
-
     /// The backend for an id.
     pub fn get(&self, id: BackendId) -> &dyn DistanceBackend {
         match id {
             BackendId::DigitalExact => &self.digital_exact,
-            BackendId::DigitalPruned => &self.digital_pruned,
             BackendId::Analog => &self.analog,
             BackendId::Acam => &self.acam,
-            BackendId::Spice => &self.spice,
         }
     }
 
     /// The analog backend, concretely (for its [`AnalogBackend::ceiling`]).
     pub fn analog(&self) -> &AnalogBackend {
         &self.analog
-    }
-
-    /// All five backends in [`BackendId::ALL`] order.
-    pub fn all(&self) -> [&dyn DistanceBackend; 5] {
-        BackendId::ALL.map(|id| self.get(id))
     }
 }
 
@@ -443,21 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn digital_pruned_matches_exact_dtw_in_value() {
-        let p = series(24, 0.0);
-        let q = series(24, 1.1);
-        let mut scratch = DpScratch::new();
-        let pruned = DigitalPrunedBackend
-            .evaluate(&PairRequest::new(DistanceKind::Dtw), &p, &q, &mut scratch)
-            .unwrap();
-        let exact = Dtw::new().evaluate(&p, &q).unwrap();
-        assert!((pruned - exact).abs() < 1e-9, "{pruned} vs {exact}");
-        assert!(DigitalPrunedBackend
-            .evaluate(&PairRequest::new(DistanceKind::Lcs), &p, &q, &mut scratch)
-            .is_err());
-    }
-
-    #[test]
     fn analog_answers_stay_within_the_calibrated_bound() {
         let p = series(12, 0.0);
         let q = series(12, 0.5);
@@ -482,14 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn power_ordering_prefers_analog_and_penalizes_spice() {
+    fn power_ordering_prefers_analog() {
         let set = default_backends();
         for kind in DistanceKind::ALL {
             let analog = set.get(BackendId::Analog).power_w(kind, 128);
             let digital = set.get(BackendId::DigitalExact).power_w(kind, 128);
-            let spice = set.get(BackendId::Spice).power_w(kind, 128);
             assert!(analog < digital, "{kind}: {analog} vs {digital}");
-            assert!(spice > digital, "{kind}: {spice} vs {digital}");
         }
         // The one-shot match plane undercuts even the DP fabric on the
         // kinds it serves, so the cheapest-first scan reaches it first.
@@ -553,16 +374,6 @@ mod tests {
             .evaluate(&PairRequest::new(DistanceKind::Dtw), &p, &q, &mut scratch)
             .unwrap_err();
         assert!(matches!(err, BackendError::Unsupported(_)), "{err}");
-    }
-
-    #[test]
-    fn spice_size_gates_mirror_the_conformance_harness() {
-        let set = default_backends();
-        let spice = set.get(BackendId::Spice);
-        assert!(spice.supports(DistanceKind::Dtw, 3));
-        assert!(!spice.supports(DistanceKind::Dtw, 4));
-        assert!(spice.supports(DistanceKind::Manhattan, 8));
-        assert!(!spice.supports(DistanceKind::Manhattan, 9));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! # mda-routing
 //!
-//! Accuracy-SLA, power-budget-aware routing across the accelerator's four
-//! answer paths.
+//! Accuracy-SLA, power-budget-aware routing across the accelerator's three
+//! serving answer paths.
 //!
-//! The repo can answer one distance query four ways — digital exact (the DP
-//! library), digital pruned (the UCR lower-bound cascade, still exact),
-//! behavioural analog (the array-level accelerator model) and
-//! SPICE-validated analog (the device-level PE netlists). This crate unifies
-//! them behind one [`DistanceBackend`] trait whose capability surface is
+//! The serving tier can answer one distance query three ways — digital
+//! exact (the DP library), behavioural analog (the array-level accelerator
+//! model) and the aCAM one-shot match plane (thresholded kinds only). The
+//! device-level SPICE netlists stay a conformance layer, not a serving path.
+//! This crate unifies the three behind one [`DistanceBackend`] trait whose capability surface is
 //! exactly what the paper's data-center story needs: which
 //! [`mda_distance::DistanceKind`]s a backend supports, the calibrated error [`Bound`] it
 //! guarantees per function and length ([`mda_core::bounds`], re-exported by
@@ -46,8 +46,7 @@ mod sla;
 
 pub use backend::{BackendError, BackendId, DistanceBackend, PairRequest, ParseBackendIdError};
 pub use backends::{
-    default_backends, AnalogBackend, BackendSet, DigitalExactBackend, DigitalPrunedBackend,
-    SpiceBackend, DIGITAL_HOST_WATTS,
+    default_backends, AnalogBackend, BackendSet, DigitalExactBackend, DIGITAL_HOST_WATTS,
 };
 pub use fleet::{FleetBudget, PowerLease};
 pub use router::{evaluate_routed, Route, RoutedValue, Router, RouterConfig};

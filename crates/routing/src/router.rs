@@ -52,15 +52,9 @@ impl Router {
     /// A router over the process-default backends with a fresh fleet
     /// envelope.
     pub fn new(config: RouterConfig) -> Router {
-        Router::with_fleet(FleetBudget::new(config.fleet_power_w))
-    }
-
-    /// A router sharing an existing fleet envelope (so several routers, or
-    /// a router and a metrics exporter, can see one fleet).
-    pub fn with_fleet(fleet: FleetBudget) -> Router {
         Router {
             backends: default_backends(),
-            fleet,
+            fleet: FleetBudget::new(config.fleet_power_w),
         }
     }
 
@@ -134,17 +128,6 @@ impl Router {
         }
         exact
     }
-
-    /// Routes a subsequence search. The UCR cascade needs exact distances
-    /// to prune soundly against a best-so-far, so every SLA routes to the
-    /// pruned digital path — itself exact in value.
-    pub fn route_search(&self, _sla: Sla) -> Route {
-        Route {
-            backend: BackendId::DigitalPruned,
-            bound: Bound::EXACT,
-            lease: None,
-        }
-    }
 }
 
 /// A routed answer: the value, and whether the analog path silently fell
@@ -199,13 +182,13 @@ pub fn evaluate_routed(
     match set.get(backend).evaluate(req, p, q, scratch) {
         Ok(value) => {
             let guarded = match backend {
-                BackendId::DigitalExact | BackendId::DigitalPruned => {
+                BackendId::DigitalExact => {
                     return Ok(RoutedValue {
                         value,
                         fell_back: false,
                     })
                 }
-                BackendId::Analog | BackendId::Acam | BackendId::Spice => value,
+                BackendId::Analog | BackendId::Acam => value,
             };
             let ceiling = set.analog().ceiling();
             let len = p.len().max(q.len());
@@ -276,7 +259,7 @@ mod tests {
 
     #[test]
     fn saturated_fleet_falls_back_to_digital() {
-        let router = Router::with_fleet(FleetBudget::new(1.0));
+        let router = Router::new(RouterConfig { fleet_power_w: 1.0 });
         // DTW at n=128 draws ~0.58 W: the first route fits, the second
         // would exceed the 1 W envelope.
         let held = router.route_pair(DistanceKind::Dtw, 128, Sla::Tolerance(16.0));
@@ -286,16 +269,6 @@ mod tests {
         drop(held);
         let again = router.route_pair(DistanceKind::Dtw, 128, Sla::Tolerance(16.0));
         assert_eq!(again.backend, BackendId::Analog);
-    }
-
-    #[test]
-    fn searches_route_to_the_pruned_path_for_every_sla() {
-        let router = Router::new(RouterConfig::default());
-        for sla in [Sla::Exact, Sla::Tolerance(100.0)] {
-            let route = router.route_search(sla);
-            assert_eq!(route.backend, BackendId::DigitalPruned);
-            assert_eq!(route.bound, Bound::EXACT);
-        }
     }
 
     #[test]

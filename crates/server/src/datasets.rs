@@ -18,6 +18,8 @@
 //! series are bitwise the uploaded ones, which is what keeps the served
 //! results on the resident path identical to direct `BatchEngine` calls.
 
+use mda_streaming::fnv::Fnv1a;
+
 use crate::protocol::{DatasetRef, DatasetSummary, ErrorCode};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -92,34 +94,28 @@ pub struct DatasetStore {
     max_bytes: u64,
 }
 
-/// 128-bit content address: two independent FNV-1a-64 passes (distinct offset
-/// bases) over the same byte stream, rendered as 32 hex chars.
+/// 128-bit content address: two independent FNV-1a-64 lanes over the same
+/// byte stream (the second from a distinct basis, fed `byte ^ 0x5a`),
+/// rendered as 32 hex chars.
 fn content_id(name: &str, labels: &[usize], series: &[Vec<f64>]) -> String {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut h2: u64 = 0x6c62_272e_07bb_0142; // FNV-1a-128 offset basis, low half
-    let mut eat = |byte: u8| {
-        h1 = (h1 ^ u64::from(byte)).wrapping_mul(PRIME);
-        h2 = (h2 ^ u64::from(byte ^ 0x5a)).wrapping_mul(PRIME);
+    let mut h1 = Fnv1a::new();
+    let mut h2 = Fnv1a::with_basis(0x6c62_272e_07bb_0142); // FNV-1a-128 offset basis, low half
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h1.write_u8(b);
+            h2.write_u8(b ^ 0x5a);
+        }
     };
-    for b in name.as_bytes() {
-        eat(*b);
-    }
-    eat(0xff); // name/content separator: "ab" + [] never collides with "a" + [b-ish]
+    eat(name.as_bytes());
+    eat(&[0xff]); // name/content separator: "ab" + [] never collides with "a" + [b-ish]
     for (label, s) in labels.iter().zip(series) {
-        for b in (*label as u64).to_le_bytes() {
-            eat(b);
-        }
-        for b in (s.len() as u64).to_le_bytes() {
-            eat(b);
-        }
+        eat(&(*label as u64).to_le_bytes());
+        eat(&(s.len() as u64).to_le_bytes());
         for x in s {
-            for b in x.to_bits().to_le_bytes() {
-                eat(b);
-            }
+            eat(&x.to_bits().to_le_bytes());
         }
     }
-    format!("{h1:016x}{h2:016x}")
+    format!("{:016x}{:016x}", h1.finish(), h2.finish())
 }
 
 impl DatasetStore {
@@ -319,6 +315,20 @@ mod tests {
         assert_eq!(a.count, 2);
         assert_eq!(a.bytes, 4 * 8);
         assert_eq!(store.stats(), (1, 32));
+    }
+
+    #[test]
+    fn content_id_is_pinned_across_versions() {
+        // Golden value: clients pin ids, so the digest must never drift.
+        let store = DatasetStore::new(u64::MAX);
+        let up = store
+            .upload(
+                "corpus",
+                vec![0, 1],
+                vec![vec![0.0, 1.0, 2.0], vec![-1.5, 3.25]],
+            )
+            .unwrap();
+        assert_eq!(up.dataset_id, "6d3ab608aea74c44a1ff4239fd3dae93");
     }
 
     #[test]

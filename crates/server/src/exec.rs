@@ -361,14 +361,6 @@ pub fn execute_item_routed(
     }
 }
 
-/// [`execute_item_routed`] without the fallback flag.
-pub fn execute_item(
-    item: &WorkItem,
-    scratch: &mut DpScratch,
-) -> Result<ItemOutcome, DistanceError> {
-    execute_item_routed(item, scratch).map(|(outcome, _)| outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,7 +388,8 @@ mod tests {
                 p: p.clone().into(),
                 q: q.clone().into(),
             };
-            let ItemOutcome::Value(served) = execute_item(&item, &mut scratch).unwrap() else {
+            let (ItemOutcome::Value(served), _) = execute_item_routed(&item, &mut scratch).unwrap()
+            else {
                 panic!("pair item must yield a value");
             };
             let direct = mda_distance::boxed_distance(kind).evaluate(&p, &q).unwrap();
@@ -419,7 +412,8 @@ mod tests {
             p: p.clone().into(),
             q: q.clone().into(),
         };
-        let ItemOutcome::Value(served) = execute_item(&item, &mut scratch).unwrap() else {
+        let (ItemOutcome::Value(served), _) = execute_item_routed(&item, &mut scratch).unwrap()
+        else {
             panic!()
         };
         let direct = Dtw::new()
@@ -482,7 +476,7 @@ mod tests {
             p: vec![0.0].into(),
             q: vec![0.0, 1.0].into(),
         };
-        assert!(execute_item(&bad, &mut scratch).is_err());
+        assert!(execute_item_routed(&bad, &mut scratch).is_err());
     }
 
     #[test]
@@ -544,8 +538,8 @@ mod tests {
         let mut scratch = DpScratch::new();
         for (a, b) in resident.items.iter().zip(&inline.items) {
             let (ItemOutcome::Value(x), ItemOutcome::Value(y)) = (
-                execute_item(a, &mut scratch).unwrap(),
-                execute_item(b, &mut scratch).unwrap(),
+                execute_item_routed(a, &mut scratch).unwrap().0,
+                execute_item_routed(b, &mut scratch).unwrap().0,
             ) else {
                 panic!("value items expected");
             };

@@ -195,8 +195,8 @@ pub struct Metrics {
     /// Accumulated analog busy time, ns.
     pub analog_busy_ns: Counter,
     /// Routed compute requests, by chosen backend (indexed by
-    /// [`BackendId`] discriminant, labels from [`BackendId::ALL`]).
-    pub backend_selected: [Counter; 5],
+    /// [`BackendId`] discriminant).
+    pub backend_selected: [Counter; BackendId::ALL.len()],
     /// Work items whose analog answer saturated (or failed to encode) and
     /// silently fell back to a digital recompute.
     pub route_fallbacks: Counter,
@@ -402,10 +402,10 @@ impl Metrics {
             }
             out.push_str(&format!("mda_{name}_us_max {}\n", h.max_us()));
         }
-        for (i, backend) in BackendId::ALL.into_iter().enumerate() {
+        for backend in BackendId::ALL {
             out.push_str(&format!(
                 "mda_backend_selected_total{{backend=\"{backend}\"}} {}\n",
-                self.backend_selected[i].get()
+                self.backend_selected[backend as usize].get()
             ));
         }
         out.push_str(&format!(
@@ -518,6 +518,32 @@ mod tests {
             "mda_stream_push_us_count 1",
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn metrics_print_one_backend_line_per_backend() {
+        let m = Metrics::new();
+        for (n, backend) in BackendId::ALL.into_iter().enumerate() {
+            for _ in 0..=n {
+                m.count_backend(backend);
+            }
+        }
+        let text = m.render_text();
+        let lines: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("mda_backend_selected_total"))
+            .collect();
+        assert_eq!(lines.len(), BackendId::ALL.len(), "{lines:?}");
+        for (n, backend) in BackendId::ALL.into_iter().enumerate() {
+            let line = format!(
+                "mda_backend_selected_total{{backend=\"{backend}\"}} {}",
+                n + 1
+            );
+            assert!(
+                lines.contains(&line.as_str()),
+                "missing `{line}` in {lines:?}"
+            );
         }
     }
 

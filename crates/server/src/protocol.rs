@@ -250,16 +250,6 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Vec<u8>, ProtocolErro
     Ok(payload)
 }
 
-/// Parses the paper's abbreviation (`DTW`, `LCS`, `EdD`, `HauD`, `HamD`,
-/// `MD`) into a [`DistanceKind`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `str::parse::<DistanceKind>()`, the canonical `FromStr`"
-)]
-pub fn parse_kind(name: &str) -> Option<DistanceKind> {
-    name.parse().ok()
-}
-
 /// A labelled training series for a kNN request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainInstance {
@@ -2261,14 +2251,5 @@ mod tests {
             assert_eq!(kind.abbrev().parse(), Ok(kind));
         }
         assert!("dtw".parse::<DistanceKind>().is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parse_kind_still_delegates_to_from_str() {
-        for kind in DistanceKind::ALL {
-            assert_eq!(parse_kind(kind.abbrev()), Some(kind));
-        }
-        assert_eq!(parse_kind("dtw"), None);
     }
 }

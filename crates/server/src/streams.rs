@@ -19,24 +19,11 @@
 use std::collections::HashMap;
 
 use mda_streaming::{
-    certified_bound, PruneFrameStats, PushResult, StreamConfig, StreamError, StreamPipeline, Value,
+    certified_bound, fnv, PruneFrameStats, PushResult, StreamConfig, StreamError, StreamPipeline,
+    Value,
 };
 
 use crate::protocol::{ErrorCode, MatchRecord, StreamEventBody, StreamEventState};
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// FNV-1a over raw bytes — the same digest the replay fingerprint uses,
-/// here keying ring positions.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Virtual nodes per worker: enough that per-worker load variance stays
 /// small without making the ring noticeable to build or search.
@@ -60,7 +47,7 @@ impl ConsistentRing {
                 let mut key = [0u8; 8];
                 key[..4].copy_from_slice(&worker.to_le_bytes());
                 key[4..].copy_from_slice(&replica.to_le_bytes());
-                points.push((fnv1a(&key), worker));
+                points.push((fnv::hash(&key), worker));
             }
         }
         points.sort_unstable();
@@ -75,7 +62,7 @@ impl ConsistentRing {
     /// The shard owning `stream_id`: the first ring point at or after the
     /// id's hash, wrapping to the smallest point.
     pub fn route(&self, stream_id: u64) -> u32 {
-        let h = fnv1a(&stream_id.to_le_bytes());
+        let h = fnv::hash(&stream_id.to_le_bytes());
         let idx = self.points.partition_point(|&(pos, _)| pos < h);
         self.points[idx % self.points.len()].1
     }
@@ -409,6 +396,14 @@ mod tests {
             seen.iter().all(|&s| s),
             "some worker owns no keys: {seen:?}"
         );
+    }
+
+    #[test]
+    fn ring_placement_is_pinned_across_versions() {
+        // Golden value: the shard is on the wire, so placement must not drift.
+        let ring = ConsistentRing::new(4);
+        let shards: Vec<u32> = (0..8).map(|id| ring.route(id)).collect();
+        assert_eq!(shards, [0, 1, 2, 3, 2, 2, 2, 2]);
     }
 
     #[test]

@@ -3,16 +3,17 @@
 //! with `overloaded` (never panic or deadlock), and shutdown must drain.
 
 use std::io::BufReader;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver};
 use std::time::Duration;
 
 use mda_distance::mining::{KnnClassifier, SubsequenceSearch};
 use mda_distance::{boxed_distance, BatchEngine, DistanceKind};
 use mda_server::protocol::{
-    decode_reply, encode_request, read_frame, write_frame, Envelope, ErrorCode, Request,
-    ResponseBody, TrainInstance, DEFAULT_MAX_FRAME_BYTES,
+    decode_reply, decode_request, encode_reply, encode_request, read_frame, write_frame, Envelope,
+    ErrorCode, Reply, Request, ResponseBody, TrainInstance, DEFAULT_MAX_FRAME_BYTES,
 };
-use mda_server::{Client, ClientError, QueryOptions, Server, ServerConfig};
+use mda_server::{BackendId, Bound, Client, ClientError, QueryOptions, Server, ServerConfig, Sla};
 
 fn series(len: usize, seed: usize) -> Vec<f64> {
     (0..len)
@@ -113,6 +114,50 @@ fn served_search_matches_direct_subsequence_search() {
         .value;
     assert_eq!(served.offset, direct.offset);
     assert_eq!(served.distance.to_bits(), direct.distance.to_bits());
+    server.shutdown_and_join();
+}
+
+#[test]
+fn accuracy_tagged_searches_report_the_exact_digital_route() {
+    let server = start(ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let query = series(16, 21);
+    let haystack = series(240, 22);
+    let (window, band) = (16, 2);
+    let entries = [mda_server::DatasetEntry {
+        label: 0,
+        series: haystack.clone(),
+    }];
+    let (dataset_id, _) = client.upload_dataset("hay", &entries).expect("upload");
+    let resident = QueryOptions::new().dataset(mda_server::DatasetRef::by_id(&dataset_id));
+
+    let untagged = client
+        .query_search(&query, &haystack, 0, window, band, &QueryOptions::new())
+        .expect("untagged search");
+    assert_eq!(untagged.route, None, "no SLA, no route report");
+    let tolerance = Sla::tolerance(4.0).expect("finite epsilon");
+    let tagged = [
+        (
+            "inline",
+            &haystack[..],
+            QueryOptions::new().accuracy(tolerance),
+        ),
+        ("resident", &[][..], resident.accuracy(tolerance)),
+    ];
+    for (form, inline_haystack, opts) in &tagged {
+        let routed = client
+            .query_search(&query, inline_haystack, 0, window, band, opts)
+            .expect("tagged search");
+        let route = routed.route.expect("tagged search reports its route");
+        assert_eq!(route.backend, BackendId::DigitalExact, "{form}");
+        assert_eq!(route.bound, Bound::EXACT, "{form}");
+        assert_eq!(routed.value.offset, untagged.value.offset, "{form}");
+        assert_eq!(
+            routed.value.distance.to_bits(),
+            untagged.value.distance.to_bits(),
+            "{form}"
+        );
+    }
     server.shutdown_and_join();
 }
 
@@ -941,4 +986,60 @@ fn live_subscriptions_deliver_gap_free_differential_events() {
         "lifetime push count"
     );
     server.shutdown_and_join();
+}
+
+/// Starts a capture server (a raw `TcpListener`, not `mda-server`): it
+/// records each request's payload bytes on the returned channel and
+/// answers with a canned reply of the right shape so the client call
+/// returns.
+fn capture_server() -> (SocketAddr, Receiver<Vec<u8>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind capture server");
+    let addr = listener.local_addr().expect("local addr");
+    let (tx, rx) = channel::<Vec<u8>>();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+            while let Ok(payload) = read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES) {
+                let env = decode_request(&payload).expect("capture server got valid request");
+                if tx.send(payload).is_err() {
+                    return;
+                }
+                let body = match env.req {
+                    Request::Distance { .. } => ResponseBody::Distance { value: 0.0 },
+                    _ => ResponseBody::Pong,
+                };
+                let bytes = encode_reply(&Reply::new(env.id, body));
+                if write_frame(&mut stream, &bytes).is_err() {
+                    break;
+                }
+            }
+        }
+    });
+    (addr, rx)
+}
+
+/// Default-option `query_*` requests must not carry an `accuracy` field at
+/// all — the bytes must be exactly the pre-routing wire format.
+#[test]
+fn default_options_leave_no_accuracy_on_the_wire() {
+    let (addr, rx) = capture_server();
+    let p = series(16, 1);
+    let q = series(16, 2);
+    let mut client = Client::connect(addr).expect("connect capture server");
+    client
+        .query_distance(DistanceKind::Dtw, &p, &q, &QueryOptions::new())
+        .expect("query");
+    let mut frames = Vec::new();
+    while let Ok(frame) = rx.recv_timeout(Duration::from_millis(200)) {
+        frames.push(frame);
+    }
+    assert!(!frames.is_empty(), "capture server saw no frames");
+    for frame in frames {
+        let text = String::from_utf8(frame).expect("utf-8 payload");
+        assert!(
+            !text.contains("accuracy"),
+            "accuracy leaked into a default-option request: {text}"
+        );
+    }
 }

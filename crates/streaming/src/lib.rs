@@ -45,6 +45,7 @@
 pub mod dag;
 pub mod differential;
 pub mod error;
+pub mod fnv;
 pub mod ops;
 pub mod pipeline;
 pub mod replay;

@@ -10,6 +10,7 @@
 
 use crate::differential::{check_series, DifferentialError, DifferentialReport};
 use crate::error::StreamError;
+use crate::fnv::Fnv1a;
 use crate::ops::{BestMatch, Output, PruneFrameStats, Value};
 use crate::pipeline::{StreamConfig, StreamPipeline};
 
@@ -140,74 +141,56 @@ impl ReplayOutcome {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_f64(h: u64, v: f64) -> u64 {
-    fnv_u64(h, v.to_bits())
-}
-
-fn fnv_best(mut h: u64, b: Option<BestMatch>) -> u64 {
+fn digest_best(h: &mut Fnv1a, b: Option<BestMatch>) {
     match b {
-        None => fnv_u64(h, 0),
+        None => h.write_u64(0),
         Some(bm) => {
-            h = fnv_u64(h, 1);
-            h = fnv_u64(h, bm.epoch);
-            fnv_f64(h, bm.distance)
+            h.write_u64(1);
+            h.write_u64(bm.epoch);
+            h.write_f64(bm.distance);
         }
     }
 }
 
-fn fnv_output(mut h: u64, out: &Output) -> u64 {
+fn digest_output(h: &mut Fnv1a, out: &Output) {
     match out {
         Output::Warming { seen, burn_in } => {
-            h = fnv_u64(h, 0);
-            h = fnv_u64(h, *seen);
-            fnv_u64(h, *burn_in)
+            h.write_u64(0);
+            h.write_u64(*seen);
+            h.write_u64(*burn_in);
         }
         Output::Ready(value) => match value {
             Value::Window(f) => {
-                h = fnv_u64(h, 1);
+                h.write_u64(1);
                 for &x in f.points.iter() {
-                    h = fnv_f64(h, x);
+                    h.write_f64(x);
                 }
-                h
             }
             Value::Stats(f) => {
-                h = fnv_u64(h, 2);
-                h = fnv_f64(h, f.mean);
-                h = fnv_f64(h, f.std_dev);
-                h = fnv_u64(h, f.degenerate as u64);
+                h.write_u64(2);
+                h.write_f64(f.mean);
+                h.write_f64(f.std_dev);
+                h.write_u64(f.degenerate as u64);
                 for &x in f.z.iter() {
-                    h = fnv_f64(h, x);
+                    h.write_f64(x);
                 }
-                h
             }
             Value::Envelope(f) => {
-                h = fnv_u64(h, 3);
+                h.write_u64(3);
                 for &x in f.upper.iter().chain(f.lower.iter()) {
-                    h = fnv_f64(h, x);
+                    h.write_f64(x);
                 }
-                h
             }
             Value::Match(f) => {
-                h = fnv_u64(h, 4);
-                h = fnv_f64(h, f.threshold);
-                h = fnv_f64(h, crate::ops::certified_bound(f.decision, f.threshold));
-                fnv_best(h, f.best)
+                h.write_u64(4);
+                h.write_f64(f.threshold);
+                h.write_f64(crate::ops::certified_bound(f.decision, f.threshold));
+                digest_best(h, f.best);
             }
             Value::Track(f) => {
-                h = fnv_u64(h, 5);
-                h = fnv_best(h, f.motif);
-                fnv_best(h, f.discord)
+                h.write_u64(5);
+                digest_best(h, f.motif);
+                digest_best(h, f.discord);
             }
         },
     }
@@ -234,18 +217,17 @@ pub fn replay(
         motif: None,
         discord: None,
         virtual_elapsed_ns: 0,
-        fingerprint: FNV_OFFSET,
+        fingerprint: 0,
     };
+    let mut digest = Fnv1a::new();
     for &x in points {
         clock.advance_ns(step);
         let r = pipeline.push(x)?;
         outcome.pushes += 1;
-        let mut h = outcome.fingerprint;
-        h = fnv_u64(h, r.epoch);
+        digest.write_u64(r.epoch);
         for out in [&r.window, &r.stats, &r.envelope, &r.matcher, &r.tracker] {
-            h = fnv_output(h, out);
+            digest_output(&mut digest, out);
         }
-        outcome.fingerprint = h;
         if !r.ready() {
             outcome.warming += 1;
             continue;
@@ -259,6 +241,7 @@ pub fn replay(
         }
     }
     outcome.virtual_elapsed_ns = clock.now_ns();
+    outcome.fingerprint = digest.finish();
     Ok(outcome)
 }
 
@@ -304,6 +287,13 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.to_text(), b.to_text());
         assert_eq!(a.fingerprint, b.fingerprint);
+    }
+
+    #[test]
+    fn fingerprint_is_pinned_across_versions() {
+        // Golden value: recorded fingerprints must stay comparable.
+        let out = replay(&stream_config(), &recording(), &ReplayConfig::default()).unwrap();
+        assert_eq!(out.fingerprint, 4_259_588_313_768_514_461);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! * [`datasets`] — UCR-style synthetic datasets and the UCR format parser;
 //! * [`power`] — power budgets and energy-efficiency comparisons;
 //! * [`routing`] — the accuracy-SLA, power-budget-aware router unifying
-//!   the four answer paths (digital exact, pruned, behavioural analog,
-//!   SPICE) behind one backend trait;
+//!   the three serving answer paths (digital exact, behavioural analog,
+//!   aCAM one-shot matching) behind one backend trait;
 //! * [`server`] — the batching distance-query network service (request
 //!   coalescing, admission control, accuracy-aware routing, push-mode
 //!   stream verbs, live metrics);
