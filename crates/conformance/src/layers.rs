@@ -27,6 +27,7 @@ use mda_acam::OneShotMatcher;
 use mda_core::accelerator::FunctionParams;
 use mda_core::{pe, AcceleratorConfig, AcceleratorError, DistanceAccelerator};
 use mda_distance::dtw::Band;
+use mda_distance::mining::knn;
 use mda_distance::{
     Distance, DistanceError, DistanceKind, Dtw, EditDistance, Hamming, Hausdorff, Lcs, Manhattan,
 };
@@ -187,8 +188,9 @@ pub fn server_routed(
 /// The value served through the **resident-dataset** path: the case's `q`
 /// is uploaded as a one-entry dataset, a k=1 kNN query with `p` references
 /// it by content-addressed id, and the raw distance is recovered from the
-/// single neighbour's score (the queue negates scores for similarity
-/// kinds, so LCS is negated back). The dataset is dropped afterwards.
+/// single neighbour's score (similarity scores are oriented with
+/// [`knn::score`], `0.0 - raw`, which undoes itself on the non-negative
+/// LCS values, so LCS is oriented back). The dataset is dropped afterwards.
 ///
 /// # Errors
 ///
@@ -208,11 +210,7 @@ pub fn server_resident(client: &mut Client, case: &CaseSpec) -> Result<f64, Clie
     );
     let _ = client.drop_dataset(DatasetRef::by_id(&dataset_id));
     let outcome = outcome?.value;
-    Ok(if case.kind.is_similarity() {
-        -outcome.score
-    } else {
-        outcome.score
-    })
+    Ok(knn::score(outcome.score, case.kind.is_similarity()))
 }
 
 /// Whether the one-shot aCAM layer runs this case, and if not, why not.

@@ -14,7 +14,7 @@
 //! * [`layers`] runs one case through each implementation;
 //! * [`bounds`] says how far each analog layer may stray from the digital
 //!   reference, per function;
-//! * [`shrink`] minimizes a disagreeing case to a small reproducer;
+//! * [`shrink`](mod@shrink) minimizes a disagreeing case to a small reproducer;
 //! * [`report`] serializes reproducers (and parses them back for replay);
 //! * [`faults`] injects seeded memristor faults under the tuning loop and
 //!   checks graceful degradation: recovery within bounds for in-range

@@ -13,7 +13,7 @@
 //!    return bitwise-identical results (ties broken by lowest index, exactly
 //!    as the serial code did).
 //! 2. **No per-pair allocation.** Each worker owns one per-thread state value
-//!    (typically a [`DpScratch`](crate::scratch::DpScratch) of reusable DP
+//!    (typically a [`DpScratch`] of reusable DP
 //!    rows, or a cloned accelerator instance) created once when the worker
 //!    starts and threaded through every item it processes.
 //! 3. **Serial error semantics.** If items fail, the error reported is the

@@ -192,7 +192,7 @@ pub(crate) fn ensure_query_envelope(
     Ok(())
 }
 
-/// The element [`lemire_pass`] selects for a window: the *latest*
+/// The element `lemire_pass` selects for a window: the *latest*
 /// occurrence of the extremum. Split out publicly so incremental envelope
 /// maintainers (the streaming tier) can recompute window-clamped border
 /// entries with exactly the deque's tie-breaking — equal values keep the

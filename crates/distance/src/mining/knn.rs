@@ -168,8 +168,8 @@ impl KnnClassifier {
             _ => None,
         };
         // One distance per training instance, sharded over the engine's
-        // workers; scores come back in training-index order, so the stable
-        // sort below breaks ties by index exactly as the serial loop did.
+        // workers; scores come back in training-index order, so `vote`'s
+        // stable sort breaks ties by index exactly as the serial loop did.
         let scores = self
             .engine
             .try_map_scratch(&self.train, |scratch, idx, inst| {
@@ -183,35 +183,10 @@ impl KnnClassifier {
                         }
                     }
                 }
-                // `0.0 - raw` so a zero similarity negates to +0.0, keeping
-                // `total_cmp` ties identical to the old partial_cmp ordering.
                 let raw = self.distance.evaluate_with(query, &inst.series, scratch)?;
-                Ok(if invert { 0.0 - raw } else { raw })
+                Ok(score(raw, invert))
             })?;
-        let mut scored: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
-        scored.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let k = self.k.min(scored.len());
-        let mut votes = std::collections::HashMap::new();
-        for &(idx, _) in &scored[..k] {
-            *votes.entry(self.train[idx].label).or_insert(0usize) += 1;
-        }
-        let nearest = scored[0];
-        let best_count = *votes.values().max().expect("k >= 1");
-        let winners: Vec<usize> = votes
-            .iter()
-            .filter(|(_, &c)| c == best_count)
-            .map(|(&l, _)| l)
-            .collect();
-        let label = if winners.len() == 1 {
-            winners[0]
-        } else {
-            self.train[nearest.0].label
-        };
-        Ok(Classified {
-            label,
-            score: nearest.1,
-            nearest_index: nearest.0,
-        })
+        Ok(vote(scores, self.k, |idx| self.train[idx].label))
     }
 
     /// Leave-one-out accuracy over the training set — the standard UCR
@@ -240,9 +215,9 @@ impl KnnClassifier {
                     continue;
                 }
                 let raw = self.distance.evaluate_with(&q.series, &t.series, scratch)?;
-                let score = if invert { 0.0 - raw } else { raw };
-                if best.is_none_or(|(_, b)| score < b) {
-                    best = Some((ti, score));
+                let s = score(raw, invert);
+                if best.is_none_or(|(_, b)| s < b) {
+                    best = Some((ti, s));
                 }
             }
             let (bi, _) = best.expect("at least one other instance");
@@ -250,6 +225,52 @@ impl KnnClassifier {
         })?;
         let correct: usize = hits.iter().sum();
         Ok(correct as f64 / self.train.len() as f64)
+    }
+}
+
+/// Orients a raw kernel value as a ranking score, lower = nearer.
+///
+/// Similarities (`is_similarity`) are negated as `0.0 - raw`, so a zero
+/// similarity scores `+0.0` rather than `-0.0`.
+pub fn score(raw: f64, is_similarity: bool) -> f64 {
+    if is_similarity {
+        0.0 - raw
+    } else {
+        raw
+    }
+}
+
+/// Ranks one [`score`] per training instance (training order) and takes
+/// the majority vote over the `k` nearest; score ties rank by training
+/// index, vote ties go to the single nearest neighbour's label.
+///
+/// # Panics
+///
+/// Panics if `scores` is empty or `k == 0`.
+pub fn vote(scores: Vec<f64>, k: usize, label_of: impl Fn(usize) -> usize) -> Classified {
+    let mut scored: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
+    scored.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let k = k.min(scored.len());
+    let mut votes = std::collections::HashMap::new();
+    for &(idx, _) in &scored[..k] {
+        *votes.entry(label_of(idx)).or_insert(0usize) += 1;
+    }
+    let nearest = scored[0];
+    let best_count = *votes.values().max().expect("k >= 1");
+    let winners: Vec<usize> = votes
+        .iter()
+        .filter(|(_, &c)| c == best_count)
+        .map(|(&l, _)| l)
+        .collect();
+    let label = if winners.len() == 1 {
+        winners[0]
+    } else {
+        label_of(nearest.0)
+    };
+    Classified {
+        label,
+        score: nearest.1,
+        nearest_index: nearest.0,
     }
 }
 

@@ -7,7 +7,8 @@
 //! * `distance` → one pair item;
 //! * `batch` → one pair item per input pair;
 //! * `knn` → one pair item per training instance (the vote is a serial
-//!   reduction afterwards, replicating `KnnClassifier::classify` exactly);
+//!   reduction afterwards, the same `mda_distance::mining::knn::vote`
+//!   that `KnnClassifier::classify` runs);
 //! * `search` → a single opaque item that runs the full pruned subsequence
 //!   search *serially inside one worker* (searches parallelize across
 //!   concurrent requests, not within one, so a coalesced batch never

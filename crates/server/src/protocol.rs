@@ -412,7 +412,7 @@ pub enum Request {
         accuracy: Option<Sla>,
     },
     /// Open a push-mode stream: fixes the sliding window, band, query, and
-    /// optional match threshold for the stream's operator DAG.
+    /// optional match threshold for the stream's mining pipeline.
     OpenStream {
         /// Sliding-window length (≥ 1); also the burn-in.
         window: usize,
@@ -592,7 +592,7 @@ pub struct StreamEventBody {
     pub state: StreamEventState,
 }
 
-/// The operator DAG's state carried on one stream event.
+/// The mining pipeline's state carried on one stream event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamEventState {
     /// The window has not filled yet; no frames are emitted.

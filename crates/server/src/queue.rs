@@ -26,6 +26,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use mda_distance::mining::knn;
 use mda_distance::{BatchEngine, DistanceError, DpScratch};
 use mda_routing::PowerLease;
 
@@ -367,40 +368,17 @@ fn assemble(assemble: &Assemble, outcomes: &[Result<ItemOutcome, DistanceError>]
                     message: "classifier has no training data".into(),
                 };
             }
-            // Mirrors `KnnClassifier::classify` exactly: scores in training
-            // order, stable sort (ties to lowest index), majority vote with
-            // vote-ties broken by the single nearest neighbour's label.
-            let mut scored: Vec<(usize, f64)> = (0..outcomes.len())
-                .map(|i| {
-                    let raw = value_at(i);
-                    (i, if *invert { -raw } else { raw })
-                })
+            let scores: Vec<f64> = (0..outcomes.len())
+                .map(|i| knn::score(value_at(i), *invert))
                 .collect();
-            if scored.iter().any(|(_, s)| s.is_nan()) {
+            if scores.iter().any(|s| s.is_nan()) {
                 return internal("non-finite kNN score");
             }
-            scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("scores checked finite"));
-            let k = (*k).min(scored.len());
-            let mut votes = std::collections::HashMap::new();
-            for &(idx, _) in &scored[..k] {
-                *votes.entry(labels[idx]).or_insert(0usize) += 1;
-            }
-            let nearest = scored[0];
-            let best_count = *votes.values().max().expect("k >= 1");
-            let winners: Vec<usize> = votes
-                .iter()
-                .filter(|(_, &c)| c == best_count)
-                .map(|(&l, _)| l)
-                .collect();
-            let label = if winners.len() == 1 {
-                winners[0]
-            } else {
-                labels[nearest.0]
-            };
+            let c = knn::vote(scores, *k, |i| labels[i]);
             ResponseBody::Knn {
-                label,
-                score: nearest.1,
-                nearest_index: nearest.0,
+                label: c.label,
+                score: c.score,
+                nearest_index: c.nearest_index,
             }
         }
     }

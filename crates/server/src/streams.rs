@@ -2,7 +2,7 @@
 //! consistent-hash shard ring, and the per-push event fan-out.
 //!
 //! Every open stream owns one [`StreamPipeline`] — the incremental
-//! operator DAG from `mda-streaming` — plus its subscriber list. All
+//! mining pipeline from `mda-streaming` — plus its subscriber list. All
 //! state lives on the event-loop thread (streams are connection-born and
 //! the loop is single-threaded), so pushes mutate without locking.
 //!
@@ -19,8 +19,7 @@
 use std::collections::HashMap;
 
 use mda_streaming::{
-    certified_bound, fnv, PruneFrameStats, PushResult, StreamConfig, StreamError, StreamPipeline,
-    Value,
+    certified_bound, fnv, PushResult, StreamConfig, StreamError, StreamPipeline, Value,
 };
 
 use crate::protocol::{ErrorCode, MatchRecord, StreamEventBody, StreamEventState};
@@ -146,8 +145,6 @@ struct StreamEntry {
     shard: u32,
     /// `(connection token, subscribe request id)`.
     subscribers: Vec<(u64, u64)>,
-    /// Cascade outcomes over this stream's warm pushes.
-    cascade: PruneFrameStats,
 }
 
 /// Every open stream on this event loop.
@@ -190,7 +187,6 @@ impl StreamRegistry {
                 burn_in,
                 shard,
                 subscribers: Vec::new(),
-                cascade: PruneFrameStats::default(),
             },
         );
         Ok(OpenOutcome {
@@ -229,9 +225,6 @@ impl StreamRegistry {
             outcome.epoch = result.epoch;
             if result.epoch > entry.burn_in {
                 outcome.evictions += 1;
-            }
-            if let Some(Value::Match(mf)) = result.matcher.value() {
-                entry.cascade.record(mf.decision);
             }
             if entry.subscribers.is_empty() {
                 continue;
@@ -300,11 +293,6 @@ impl StreamRegistry {
         self.streams.get(&stream_id).map(|e| e.shard)
     }
 
-    /// Cascade outcome counts over a stream's warm pushes.
-    pub fn cascade_stats(&self, stream_id: u64) -> Option<PruneFrameStats> {
-        self.streams.get(&stream_id).map(|e| e.cascade)
-    }
-
     /// Streams currently open.
     pub fn open_count(&self) -> usize {
         self.streams.len()
@@ -344,7 +332,7 @@ fn event_body(stream_id: u64, result: &PushResult) -> StreamEventBody {
             mda_streaming::Output::Warming { seen, burn_in } => {
                 StreamEventState::Warming { seen, burn_in }
             }
-            // The DAG emits all-or-nothing: a partially ready frame set
+            // The pipeline emits all-or-nothing: a partially ready frame set
             // cannot happen, but degrade to warming rather than panic.
             mda_streaming::Output::Ready(_) => StreamEventState::Warming {
                 seen: result.epoch,
@@ -464,19 +452,21 @@ mod tests {
             }
         ));
 
-        // Crossing burn-in turns events ready; the fifth push evicts.
+        // Crossing burn-in turns events ready; the fifth push evicts. The
+        // first warm push has no best-so-far to prune against, so the
+        // cascade runs the full DP.
         let out = reg.push(opened.stream_id, &[3.0, 4.0]).unwrap();
         assert_eq!((out.epoch, out.evictions), (5, 1));
+        assert!(matches!(
+            &out.events[0].2.state,
+            StreamEventState::Ready { decision, .. } if decision == "computed"
+        ));
         assert!(matches!(
             out.events[1].2.state,
             StreamEventState::Ready { .. }
         ));
         assert!(reg.subscribe(opened.stream_id, 8, 100).unwrap().warm);
         assert_eq!(reg.shard_of(opened.stream_id), Some(opened.shard));
-        assert!(
-            reg.cascade_stats(opened.stream_id).unwrap().total() >= 1,
-            "warm pushes must run the cascade"
-        );
 
         let closed = reg.close(opened.stream_id).unwrap();
         assert_eq!(closed.pushed, 5);

@@ -98,6 +98,30 @@ fn concurrent_clients_match_direct_library_calls_bitwise() {
 }
 
 #[test]
+fn served_similarity_knn_score_matches_the_library_bitwise() {
+    // An LCS kNN whose best similarity is zero: the negated score must be
+    // +0.0 on the wire, exactly as `KnnClassifier::classify` returns it.
+    let server = start(ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let query = [0.0, 0.0];
+    let train = [TrainInstance {
+        label: 3,
+        series: vec![5.0, 5.0],
+    }];
+    let mut knn = KnnClassifier::new(boxed_distance(DistanceKind::Lcs), 1);
+    knn.fit(3, train[0].series.clone());
+    let direct = knn.classify(&query).expect("direct kNN");
+    let served = client
+        .query_knn(DistanceKind::Lcs, 1, &query, &train, &QueryOptions::new())
+        .expect("served kNN")
+        .value;
+    assert_eq!(served.label, direct.label);
+    assert_eq!(served.score.to_bits(), direct.score.to_bits());
+    assert_eq!(served.nearest_index, direct.nearest_index);
+    server.shutdown_and_join();
+}
+
+#[test]
 fn served_search_matches_direct_subsequence_search() {
     let server = start(ServerConfig::default());
     let mut client = Client::connect(server.local_addr()).expect("connect");

@@ -2,9 +2,9 @@
 //!
 //! MNA matrices for single-PE circuits are small (tens of unknowns), where a
 //! dense solve beats sparse bookkeeping. Larger array-level netlists use
-//! [`crate::sparse`] / [`crate::lu`].
+//! [`crate::sparse`] / `lu`.
 //!
-//! The workhorse is [`DenseLu`], a preallocated workspace reused across
+//! The workhorse is `DenseLu`, a preallocated workspace reused across
 //! Newton iterations and timesteps: factors, permutation and substitution
 //! scratch live in place, rows are swapped physically during pivoting so
 //! the elimination inner loop runs over contiguous memory with no
@@ -52,7 +52,7 @@ impl DenseMatrix {
         self.data[r * self.n + c]
     }
 
-    /// Solves `A·x = b` through a fresh [`DenseLu`] workspace. The matrix
+    /// Solves `A·x = b` through a fresh `DenseLu` workspace. The matrix
     /// is only borrowed — no defensive copies needed by callers that reuse
     /// it afterwards.
     ///

@@ -3,7 +3,7 @@
 //! MNA matrices of PE arrays are extremely sparse (each node touches a
 //! handful of elements). [`SparseMatrix`] is a triplet-assembly convenience
 //! type whose borrow-based [`SparseMatrix::solve`] compresses the hash rows
-//! into CSR once and delegates to the reusable [`crate::lu`] workspace
+//! into CSR once and delegates to the reusable `lu` workspace
 //! (threshold pivoting with a Markowitz-style sparsest-row tie-break). The
 //! hot analysis path in [`crate::mna`] skips this type entirely and
 //! assembles straight into CSR through a stamp plan.

@@ -2,14 +2,15 @@
 //!
 //! Streaming push-mode mining for the memristor distance accelerator:
 //! the live-series tier over the batch kernels (ROADMAP Open item 3).
-//! Clients push points one at a time; a dependency DAG of **incremental
-//! operators** maintains continuously-updated mining state:
+//! Clients push points one at a time; a fixed pipeline of five
+//! **incremental stages** maintains continuously-updated mining state,
+//! called in order on every push
+//! ([`pipeline::StreamPipeline::push`]):
 //!
 //! * [`ops::WindowOp`] — the sliding ring buffer, materialized once per
-//!   push and shared by every descendant;
-//! * [`ops::ZNormOp`] — sliding-window z-normalization: O(1) add/evict
-//!   Welford accumulators ([`window::WelfordState`]) monitor the window,
-//!   emitted frames re-fold through the exact batch path for bitwise
+//!   push and shared by every later stage;
+//! * [`ops::ZNormOp`] — sliding-window z-normalization, folding the
+//!   materialized window through the exact batch path for bitwise
 //!   parity;
 //! * [`ops::EnvelopeOp`] — incremental Lemire envelopes: interior
 //!   entries finalized once by stream-absolute monotonic deques
@@ -21,10 +22,9 @@
 //!   pruning certificate;
 //! * [`ops::TrackerOp`] — best-so-far motif/discord fold.
 //!
-//! Every node declares an explicit burn-in and emits
-//! [`ops::Output::Warming`] until its window fills; one pushed point
-//! fans through the whole DAG in a single topological pass
-//! ([`dag::Dag::push`]).
+//! The query length equals the window, so all five stages burn in
+//! together: every slot reads [`ops::Output::Warming`] until the window
+//! fills.
 //!
 //! ## The differential gate
 //!
@@ -38,11 +38,10 @@
 //! ## Replay
 //!
 //! [`replay::replay`] feeds recorded series through the identical
-//! operator path on a deterministic virtual clock at configurable
+//! pipeline on a deterministic virtual clock at configurable
 //! (rational) speed: two replays of one recording are byte-identical,
 //! making recordings usable for backtesting and byte-stable tests.
 
-pub mod dag;
 pub mod differential;
 pub mod error;
 pub mod fnv;
@@ -51,13 +50,12 @@ pub mod pipeline;
 pub mod replay;
 pub mod window;
 
-pub use dag::{Dag, NodeId, NodeOutput};
 pub use differential::{check_series, DifferentialError, DifferentialReport, Mismatch};
 pub use error::StreamError;
 pub use ops::{
-    certified_bound, BestMatch, EnvelopeFrame, MatchFrame, Operator, Output, PruneFrameStats,
-    PushCtx, StatsFrame, TrackFrame, Value, WindowFrame,
+    certified_bound, BestMatch, EnvelopeFrame, MatchFrame, Output, PruneFrameStats, StatsFrame,
+    TrackFrame, Value, WindowFrame,
 };
 pub use pipeline::{PushResult, StreamConfig, StreamPipeline, MAX_WINDOW};
-pub use replay::{replay, replay_gated, ReplayConfig, ReplayOutcome, ReplaySpeed, VirtualClock};
-pub use window::{SlidingWindow, WelfordState};
+pub use replay::{replay, ReplayConfig, ReplayOutcome, ReplaySpeed, VirtualClock};
+pub use window::SlidingWindow;

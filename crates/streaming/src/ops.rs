@@ -1,9 +1,12 @@
-//! Incremental operators: the typed nodes of the streaming DAG.
+//! Incremental operators: the five typed stages of the streaming
+//! pipeline.
 //!
-//! Each operator consumes one pushed point per step (plus the outputs of
-//! its parent nodes), carries typed state across steps, and declares an
-//! explicit `burn_in` — it emits [`Output::Warming`] until its window has
-//! filled. The correctness contract is *differential*: once warm, every
+//! [`crate::pipeline::StreamPipeline`] calls them in a fixed order on
+//! every push — window → {z-norm, envelope} → matcher → tracker — each
+//! taking its upstream frames as typed arguments and carrying its own
+//! state across pushes. Until the window fills, the pipeline emits
+//! [`Output::Warming`] for all five. The correctness contract is
+//! *differential*: once warm, every
 //! emitted frame equals a from-scratch batch recomputation over the
 //! current window — bitwise, because each operator either feeds the exact
 //! batch code path with the same bytes (z-normalization) or maintains
@@ -21,7 +24,7 @@ use mda_distance::lower_bounds::{
 use mda_distance::{znorm, DpScratch};
 
 use crate::error::StreamError;
-use crate::window::{SlidingWindow, WelfordState};
+use crate::window::SlidingWindow;
 
 /// The materialized sliding window: the source frame every other
 /// operator derives from.
@@ -105,14 +108,14 @@ pub enum Value {
     Track(TrackFrame),
 }
 
-/// What a node emitted for one pushed point.
+/// What a stage emitted for one pushed point.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Output {
-    /// The node (or one of its ancestors) has not finished burn-in.
+    /// The window has not filled yet.
     Warming {
         /// Points seen so far.
         seen: u64,
-        /// Points required before the node emits values.
+        /// Points required before the pipeline emits values.
         burn_in: u64,
     },
     /// A warm, differentially-gated frame.
@@ -120,7 +123,7 @@ pub enum Output {
 }
 
 impl Output {
-    /// `true` once the node emits values.
+    /// `true` once the stage emits values.
     pub fn is_ready(&self) -> bool {
         matches!(self, Output::Ready(_))
     }
@@ -134,38 +137,7 @@ impl Output {
     }
 }
 
-/// Per-push context handed to every operator.
-#[derive(Debug, Clone, Copy)]
-pub struct PushCtx {
-    /// 1-based count of points pushed to the DAG so far.
-    pub epoch: u64,
-    /// The point pushed this step (validated finite by the DAG).
-    pub point: f64,
-}
-
-/// One node of the streaming DAG.
-///
-/// `apply` runs on *every* push — including during burn-in, so stateful
-/// operators can fill their windows — and receives its parents' outputs
-/// for the same push, in wiring order.
-pub trait Operator: Send {
-    /// Stable node label (used in frames, metrics, and mismatch reports).
-    fn name(&self) -> &'static str;
-    /// Number of points before this node emits `Ready` outputs.
-    fn burn_in(&self) -> u64;
-    /// Advances the node by one pushed point.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`StreamError`] — operators never panic on domain input.
-    fn apply(&mut self, ctx: &PushCtx, inputs: &[&Output]) -> Result<Output, StreamError>;
-}
-
-fn wiring_error(op: &'static str, expected: &str) -> StreamError {
-    StreamError::InvalidParameter(format!("operator `{op}` wired to a non-{expected} parent"))
-}
-
-/// Source node: maintains the ring buffer and materializes the window.
+/// Source stage: maintains the ring buffer and materializes the window.
 #[derive(Debug)]
 pub struct WindowOp {
     window: SlidingWindow,
@@ -181,49 +153,33 @@ impl WindowOp {
             points: Arc::new(Vec::with_capacity(capacity)),
         }
     }
-}
 
-impl Operator for WindowOp {
-    fn name(&self) -> &'static str {
-        "window"
-    }
-
-    fn burn_in(&self) -> u64 {
-        self.window.capacity() as u64
-    }
-
-    fn apply(&mut self, ctx: &PushCtx, _inputs: &[&Output]) -> Result<Output, StreamError> {
-        let evicted = self.window.push(ctx.point);
+    /// Appends `point`; the window frame once full, `None` while warming.
+    pub fn push(&mut self, point: f64) -> Option<WindowFrame> {
+        let evicted = self.window.push(point);
         if !self.window.is_full() {
-            return Ok(Output::Warming {
-                seen: self.window.len() as u64,
-                burn_in: self.burn_in(),
-            });
+            return None;
         }
         // `make_mut` reuses the buffer unless a caller still holds the
         // previous frame, in which case it clones rather than mutating
         // bytes out from under them.
         self.window.copy_into(Arc::make_mut(&mut self.points));
-        Ok(Output::Ready(Value::Window(WindowFrame {
+        Some(WindowFrame {
             points: Arc::clone(&self.points),
-            appended: ctx.point,
+            appended: point,
             evicted,
-        })))
+        })
     }
 }
 
 /// Sliding-window z-normalization.
 ///
-/// The O(1) add/evict [`WelfordState`] monitors the window as it slides;
-/// emitted statistics re-fold the materialized window through the exact
-/// batch code path (`znorm::mean` / `znorm::std_dev` /
-/// `z_normalize_in_place`) so the frame is bit-for-bit the batch result —
-/// the frame is O(w) to write regardless, and the downdating monitor can
-/// drift by ULPs (see [`WelfordState::evict`]).
+/// Statistics fold the materialized window through the exact batch code
+/// path (`znorm::mean` / `znorm::std_dev` / `z_normalize_in_place`), so
+/// the frame is bit-for-bit the batch result; the frame is O(w) to write
+/// regardless.
 #[derive(Debug)]
 pub struct ZNormOp {
-    monitor: WelfordState,
-    burn_in: u64,
     z: Arc<Vec<f64>>,
 }
 
@@ -231,43 +187,13 @@ impl ZNormOp {
     /// A z-normalizer for windows of `window` points.
     pub fn new(window: usize) -> Self {
         ZNormOp {
-            monitor: WelfordState::new(),
-            burn_in: window as u64,
             z: Arc::new(Vec::with_capacity(window)),
         }
     }
 
-    /// The O(1) sliding accumulators (monitoring-grade: ULP drift).
-    pub fn monitor(&self) -> &WelfordState {
-        &self.monitor
-    }
-}
-
-impl Operator for ZNormOp {
-    fn name(&self) -> &'static str {
-        "znorm"
-    }
-
-    fn burn_in(&self) -> u64 {
-        self.burn_in
-    }
-
-    fn apply(&mut self, ctx: &PushCtx, inputs: &[&Output]) -> Result<Output, StreamError> {
-        self.monitor.add(ctx.point);
-        let frame = match inputs.first() {
-            Some(Output::Ready(Value::Window(f))) => f,
-            Some(Output::Warming { .. }) => {
-                return Ok(Output::Warming {
-                    seen: ctx.epoch.min(self.burn_in),
-                    burn_in: self.burn_in,
-                })
-            }
-            _ => return Err(wiring_error("znorm", "window")),
-        };
-        if let Some(evicted) = frame.evicted {
-            self.monitor.evict(evicted);
-        }
-        let pts = frame.points.as_slice();
+    /// Z-normalizes one full window.
+    pub fn apply(&mut self, window: &WindowFrame) -> StatsFrame {
+        let pts = window.points.as_slice();
         let mean = znorm::mean(pts);
         let std_dev = znorm::std_dev(pts);
         let first = pts[0].to_bits();
@@ -280,12 +206,12 @@ impl Operator for ZNormOp {
         z.clear();
         z.extend_from_slice(pts);
         znorm::z_normalize_in_place(z);
-        Ok(Output::Ready(Value::Stats(StatsFrame {
+        StatsFrame {
             mean,
             std_dev,
             degenerate,
             z: Arc::clone(&self.z),
-        })))
+        }
     }
 }
 
@@ -325,43 +251,29 @@ impl EnvelopeOp {
             lower: Arc::new(Vec::with_capacity(window)),
         }
     }
-}
 
-impl Operator for EnvelopeOp {
-    fn name(&self) -> &'static str {
-        "envelope"
-    }
-
-    fn burn_in(&self) -> u64 {
-        self.window as u64
-    }
-
-    fn apply(&mut self, ctx: &PushCtx, inputs: &[&Output]) -> Result<Output, StreamError> {
-        let idx = ctx.epoch - 1; // 0-based absolute stream index
-        self.smax.push(idx, ctx.point);
-        self.smin.push(idx, ctx.point);
+    /// Advances the monotonic deques by the point at 0-based absolute
+    /// stream index `idx`. Runs on every push, warm-up included.
+    pub fn advance(&mut self, idx: u64, point: f64) {
+        self.smax.push(idx, point);
+        self.smin.push(idx, point);
         if idx >= 2 * self.radius as u64 {
             // The span around center idx - r is complete: finalize it.
             self.fin_upper
-                .push_back(self.smax.extremum().unwrap_or(ctx.point));
+                .push_back(self.smax.extremum().unwrap_or(point));
             self.fin_lower
-                .push_back(self.smin.extremum().unwrap_or(ctx.point));
+                .push_back(self.smin.extremum().unwrap_or(point));
             if self.fin_upper.len() > self.window {
                 self.fin_upper.pop_front();
                 self.fin_lower.pop_front();
             }
         }
-        let frame = match inputs.first() {
-            Some(Output::Ready(Value::Window(f))) => f,
-            Some(Output::Warming { .. }) => {
-                return Ok(Output::Warming {
-                    seen: ctx.epoch.min(self.burn_in()),
-                    burn_in: self.burn_in(),
-                })
-            }
-            _ => return Err(wiring_error("envelope", "window")),
-        };
-        let pts = frame.points.as_slice();
+    }
+
+    /// Assembles the envelope of the full window that ends at the last
+    /// [`advance`](Self::advance)d point.
+    pub fn apply(&mut self, window: &WindowFrame) -> EnvelopeFrame {
+        let pts = window.points.as_slice();
         let (w, r) = (pts.len(), self.radius);
         let fin_len = self.fin_upper.len();
         let upper = Arc::make_mut(&mut self.upper);
@@ -385,21 +297,21 @@ impl Operator for EnvelopeOp {
                 lower[i] = self.fin_lower[pos];
             }
         }
-        Ok(Output::Ready(Value::Envelope(EnvelopeFrame {
+        EnvelopeFrame {
             upper: Arc::clone(&self.upper),
             lower: Arc::clone(&self.lower),
-        })))
+        }
     }
 }
 
 /// Online subsequence matcher: the UCR cascade against a fixed query.
 ///
-/// Carries the query envelope (cached bitwise inside its [`DpScratch`]),
-/// the incrementally maintained candidate envelope (parent node), and the
-/// best-so-far pruning threshold across pushes. The expensive banded DTW
-/// re-runs only when the new point invalidates the pruning certificate —
-/// when the window's lower bounds fall below the carried threshold; every
-/// other push settles in the O(1)/O(w) bound layers.
+/// Carries the query envelope (cached bitwise inside its [`DpScratch`])
+/// and the best-so-far pruning threshold across pushes, and prunes
+/// against the candidate envelope [`EnvelopeOp`] maintains. The expensive banded DTW re-runs only when the new point invalidates
+/// the pruning certificate — when the window's lower bounds fall below
+/// the carried threshold; every other push settles in the O(1)/O(w)
+/// bound layers.
 #[derive(Debug)]
 pub struct MatcherOp {
     query: Vec<f64>,
@@ -423,34 +335,17 @@ impl MatcherOp {
         }
     }
 
-    /// Best computed match so far.
-    pub fn best(&self) -> Option<BestMatch> {
-        self.best
-    }
-}
-
-impl Operator for MatcherOp {
-    fn name(&self) -> &'static str {
-        "matcher"
-    }
-
-    fn burn_in(&self) -> u64 {
-        self.query.len() as u64
-    }
-
-    fn apply(&mut self, ctx: &PushCtx, inputs: &[&Output]) -> Result<Output, StreamError> {
-        let (window, env) = match (inputs.first(), inputs.get(1)) {
-            (Some(Output::Ready(Value::Window(w))), Some(Output::Ready(Value::Envelope(e)))) => {
-                (w, e)
-            }
-            (Some(Output::Warming { .. }), _) | (_, Some(Output::Warming { .. })) => {
-                return Ok(Output::Warming {
-                    seen: ctx.epoch.min(self.burn_in()),
-                    burn_in: self.burn_in(),
-                })
-            }
-            _ => return Err(wiring_error("matcher", "window+envelope")),
-        };
+    /// Runs the cascade on push `epoch`'s window and its envelope.
+    ///
+    /// # Errors
+    ///
+    /// A typed kernel error (unreachable with a validated configuration).
+    pub fn apply(
+        &mut self,
+        epoch: u64,
+        window: &WindowFrame,
+        env: &EnvelopeFrame,
+    ) -> Result<MatchFrame, StreamError> {
         let pruning = self
             .threshold
             .min(self.best.map_or(f64::INFINITY, |b| b.distance));
@@ -465,17 +360,14 @@ impl Operator for MatcherOp {
         )?;
         if let PruneDecision::Computed(d) = decision {
             if self.best.is_none_or(|b| d < b.distance) {
-                self.best = Some(BestMatch {
-                    epoch: ctx.epoch,
-                    distance: d,
-                });
+                self.best = Some(BestMatch { epoch, distance: d });
             }
         }
-        Ok(Output::Ready(Value::Match(MatchFrame {
+        Ok(MatchFrame {
             decision,
             threshold: pruning,
             best: self.best,
-        })))
+        })
     }
 }
 
@@ -522,62 +414,30 @@ pub fn certified_bound(decision: PruneDecision, threshold: f64) -> f64 {
 }
 
 /// Best-so-far motif/discord tracker: a pure fold over matcher frames.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TrackerOp {
-    burn_in: u64,
     motif: Option<BestMatch>,
     discord: Option<BestMatch>,
 }
 
 impl TrackerOp {
-    /// A tracker warming with the `window`-point matcher above it.
-    pub fn new(window: usize) -> Self {
-        TrackerOp {
-            burn_in: window as u64,
-            motif: None,
-            discord: None,
-        }
-    }
-}
-
-impl Operator for TrackerOp {
-    fn name(&self) -> &'static str {
-        "tracker"
-    }
-
-    fn burn_in(&self) -> u64 {
-        self.burn_in
-    }
-
-    fn apply(&mut self, ctx: &PushCtx, inputs: &[&Output]) -> Result<Output, StreamError> {
-        let frame = match inputs.first() {
-            Some(Output::Ready(Value::Match(m))) => m,
-            Some(Output::Warming { .. }) => {
-                return Ok(Output::Warming {
-                    seen: ctx.epoch.min(self.burn_in),
-                    burn_in: self.burn_in,
-                })
-            }
-            _ => return Err(wiring_error("tracker", "match")),
-        };
+    /// Folds push `epoch`'s matcher frame into the records.
+    pub fn apply(&mut self, epoch: u64, frame: &MatchFrame) -> TrackFrame {
         if let PruneDecision::Computed(d) = frame.decision {
             if self.motif.is_none_or(|b| d < b.distance) {
-                self.motif = Some(BestMatch {
-                    epoch: ctx.epoch,
-                    distance: d,
-                });
+                self.motif = Some(BestMatch { epoch, distance: d });
             }
         }
         let bound = certified_bound(frame.decision, frame.threshold);
         if self.discord.is_none_or(|b| bound > b.distance) {
             self.discord = Some(BestMatch {
-                epoch: ctx.epoch,
+                epoch,
                 distance: bound,
             });
         }
-        Ok(Output::Ready(Value::Track(TrackFrame {
+        TrackFrame {
             motif: self.motif,
             discord: self.discord,
-        })))
+        }
     }
 }

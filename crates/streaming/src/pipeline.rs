@@ -1,9 +1,8 @@
-//! The standard mining pipeline: window → {z-norm, envelope} → matcher
-//! → tracker, wired into a [`Dag`] with validated configuration.
+//! The mining pipeline: window → {z-norm, envelope} → matcher → tracker,
+//! five typed stages called in that fixed order on every push.
 
-use crate::dag::{Dag, NodeId, NodeOutput};
 use crate::error::StreamError;
-use crate::ops::{EnvelopeOp, MatcherOp, Output, TrackerOp, WindowOp, ZNormOp};
+use crate::ops::{EnvelopeOp, MatcherOp, Output, TrackerOp, Value, WindowOp, ZNormOp};
 
 /// Largest accepted window (keeps per-push work and frame sizes sane).
 pub const MAX_WINDOW: usize = 1 << 20;
@@ -63,7 +62,7 @@ impl StreamConfig {
     }
 }
 
-/// One push's outputs, one typed slot per pipeline node.
+/// One push's outputs, one typed slot per pipeline stage.
 #[derive(Debug)]
 pub struct PushResult {
     /// 1-based epoch of this push.
@@ -81,7 +80,7 @@ pub struct PushResult {
 }
 
 impl PushResult {
-    /// `true` once every node has burned in.
+    /// `true` once every stage has burned in.
     pub fn ready(&self) -> bool {
         self.window.is_ready()
             && self.stats.is_ready()
@@ -93,12 +92,17 @@ impl PushResult {
 
 /// A validated, ready-to-push mining pipeline over one live series.
 pub struct StreamPipeline {
-    config: StreamConfig,
-    dag: Dag,
+    burn_in: usize,
+    epoch: u64,
+    window: WindowOp,
+    znorm: ZNormOp,
+    envelope: EnvelopeOp,
+    matcher: MatcherOp,
+    tracker: TrackerOp,
 }
 
 impl StreamPipeline {
-    /// Builds the five-node pipeline after validating `config`.
+    /// Builds the five-stage pipeline after validating `config`.
     ///
     /// # Errors
     ///
@@ -106,72 +110,76 @@ impl StreamPipeline {
     /// [`StreamConfig::validate`].
     pub fn new(config: StreamConfig) -> Result<Self, StreamError> {
         config.validate()?;
-        let mut dag = Dag::new();
-        let window = dag.add(Box::new(WindowOp::new(config.window)), &[])?;
-        let _znorm = dag.add(Box::new(ZNormOp::new(config.window)), &[window])?;
-        let envelope = dag.add(
-            Box::new(EnvelopeOp::new(config.window, config.band)),
-            &[window],
-        )?;
-        let matcher = dag.add(
-            Box::new(MatcherOp::new(
-                config.query.clone(),
-                config.band,
-                config.threshold,
-            )),
-            &[window, envelope],
-        )?;
-        let _tracker = dag.add(Box::new(TrackerOp::new(config.window)), &[matcher])?;
-        Ok(StreamPipeline { config, dag })
-    }
-
-    /// The validated configuration.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
+        Ok(StreamPipeline {
+            burn_in: config.window,
+            epoch: 0,
+            window: WindowOp::new(config.window),
+            znorm: ZNormOp::new(config.window),
+            envelope: EnvelopeOp::new(config.window, config.band),
+            matcher: MatcherOp::new(config.query, config.band, config.threshold),
+            tracker: TrackerOp::default(),
+        })
     }
 
     /// Points pushed so far.
     pub fn epoch(&self) -> u64 {
-        self.dag.pushed()
+        self.epoch
     }
 
-    /// Points required before every node emits (`= window`).
+    /// Points required before every stage emits (`= window`).
     pub fn burn_in(&self) -> usize {
-        self.config.window
+        self.burn_in
     }
 
-    /// Pushes one point through the DAG.
+    /// Pushes one point through every stage.
     ///
     /// # Errors
     ///
-    /// [`StreamError::InvalidParameter`] for non-finite points (the
-    /// epoch does not advance), or a typed kernel error.
+    /// [`StreamError::InvalidParameter`] for non-finite points (state is
+    /// untouched and the epoch does not advance), or a typed kernel error.
     pub fn push(&mut self, point: f64) -> Result<PushResult, StreamError> {
-        let outs = self.dag.push(point)?;
-        let epoch = self.dag.pushed();
-        let [window, stats, envelope, matcher, tracker]: [NodeOutput; 5] = outs
-            .try_into()
-            .expect("pipeline DAG always has exactly five nodes");
+        if !point.is_finite() {
+            return Err(StreamError::InvalidParameter(format!(
+                "pushed point must be finite, got {point}"
+            )));
+        }
+        self.epoch += 1;
+        let epoch = self.epoch;
+        self.envelope.advance(epoch - 1, point);
+        let Some(window) = self.window.push(point) else {
+            // The query length equals the window, so every stage warms
+            // up together.
+            let warming = Output::Warming {
+                seen: epoch,
+                burn_in: self.burn_in as u64,
+            };
+            return Ok(PushResult {
+                epoch,
+                window: warming.clone(),
+                stats: warming.clone(),
+                envelope: warming.clone(),
+                matcher: warming.clone(),
+                tracker: warming,
+            });
+        };
+        let stats = self.znorm.apply(&window);
+        let envelope = self.envelope.apply(&window);
+        let matcher = self.matcher.apply(epoch, &window, &envelope)?;
+        let tracker = self.tracker.apply(epoch, &matcher);
         Ok(PushResult {
             epoch,
-            window: window.output,
-            stats: stats.output,
-            envelope: envelope.output,
-            matcher: matcher.output,
-            tracker: tracker.output,
+            window: Output::Ready(Value::Window(window)),
+            stats: Output::Ready(Value::Stats(stats)),
+            envelope: Output::Ready(Value::Envelope(envelope)),
+            matcher: Output::Ready(Value::Match(matcher)),
+            tracker: Output::Ready(Value::Track(tracker)),
         })
-    }
-
-    /// Node ids in topological order, for callers that walk the DAG.
-    pub fn node_ids(&self) -> [NodeId; 5] {
-        [NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4)]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::Value;
 
     fn config(window: usize, band: usize) -> StreamConfig {
         StreamConfig {

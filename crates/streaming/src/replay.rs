@@ -8,7 +8,6 @@
 //! recorded traces (including the conformance trace families) usable as
 //! byte-stable regression fixtures and for backtesting threshold choices.
 
-use crate::differential::{check_series, DifferentialError, DifferentialReport};
 use crate::error::StreamError;
 use crate::fnv::Fnv1a;
 use crate::ops::{BestMatch, Output, PruneFrameStats, Value};
@@ -245,21 +244,6 @@ pub fn replay(
     Ok(outcome)
 }
 
-/// Replays `points` while also running the differential gate at every
-/// push — the strict form used by conformance and the bench identity
-/// gate.
-///
-/// # Errors
-///
-/// Typed [`DifferentialError`] — a mismatch names the epoch and
-/// operator.
-pub fn replay_gated(
-    stream: &StreamConfig,
-    points: &[f64],
-) -> Result<DifferentialReport, DifferentialError> {
-    check_series(stream, points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,6 +278,43 @@ mod tests {
         // Golden value: recorded fingerprints must stay comparable.
         let out = replay(&stream_config(), &recording(), &ReplayConfig::default()).unwrap();
         assert_eq!(out.fingerprint, 4_259_588_313_768_514_461);
+    }
+
+    #[test]
+    fn fingerprints_are_pinned_across_cascade_outcomes() {
+        // Golden values covering every cascade outcome, an unbounded
+        // threshold and the window-1 degenerate z-norm.
+        let cases = [
+            (12, 2, None, 150, 15_244_049_875_622_088_920),
+            (1, 0, None, 40, 6_012_032_196_263_050_122),
+            (64, 8, None, 400, 3_764_208_668_522_703_989),
+            (12, 0, Some(0.5), 150, 8_656_517_634_665_786_485),
+        ];
+        let mut reached = PruneFrameStats::default();
+        for (window, band, threshold, points, golden) in cases {
+            let stream = StreamConfig {
+                window,
+                band,
+                query: (0..window).map(|i| (i as f64 * 0.6).cos()).collect(),
+                threshold,
+            };
+            let recording: Vec<f64> = (0..points)
+                .map(|i| (i as f64 * 0.23).sin() * 1.4 + (i as f64 * 0.011).cos())
+                .collect();
+            let out = replay(&stream, &recording, &ReplayConfig::default()).unwrap();
+            assert_eq!(out.fingerprint, golden, "window {window} band {band}");
+            reached.computed += out.cascade.computed;
+            reached.pruned_kim += out.cascade.pruned_kim;
+            reached.pruned_keogh += out.cascade.pruned_keogh;
+            reached.abandoned += out.cascade.abandoned;
+        }
+        assert!(
+            reached.computed > 0
+                && reached.pruned_kim > 0
+                && reached.pruned_keogh > 0
+                && reached.abandoned > 0,
+            "{reached:?}"
+        );
     }
 
     #[test]
@@ -332,7 +353,7 @@ mod tests {
 
     #[test]
     fn gated_replay_passes_on_the_recording() {
-        let report = replay_gated(&stream_config(), &recording()).unwrap();
+        let report = crate::check_series(&stream_config(), &recording()).unwrap();
         assert_eq!(report.pushes, 150);
     }
 }
