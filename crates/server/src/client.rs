@@ -75,19 +75,6 @@ impl From<ProtocolError> for ClientError {
     }
 }
 
-impl ClientError {
-    /// `true` when the server shed this request under load.
-    pub fn is_overloaded(&self) -> bool {
-        matches!(
-            self,
-            ClientError::Server {
-                code: ErrorCode::Overloaded,
-                ..
-            }
-        )
-    }
-}
-
 /// Builder-style per-query options for the `query_*` methods.
 ///
 /// The default options put no `accuracy` field on the wire — a request

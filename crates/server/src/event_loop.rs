@@ -620,7 +620,7 @@ impl EventLoop {
         if !head_done && conn.read_buf.len() < HTTP_HEAD_CAP && !conn.read_closed {
             return; // request head still arriving
         }
-        self.metrics.count_request("metrics");
+        self.metrics.count_request(&Request::Metrics);
         let body = self.metrics.render_text();
         let response = format!(
             "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -657,10 +657,11 @@ impl EventLoop {
                     0,
                     ResponseBody::Error {
                         code: ErrorCode::BadRequest,
-                        message: format!(
-                            "frame of {len} bytes exceeds the {}-byte cap",
-                            self.config.max_frame_bytes
-                        ),
+                        message: ProtocolError::FrameTooLarge {
+                            len,
+                            max: self.config.max_frame_bytes,
+                        }
+                        .to_string(),
                     },
                 );
                 conn.push_reply(&reply);
@@ -706,7 +707,7 @@ impl EventLoop {
                 return;
             }
         };
-        self.metrics.count_request(req.op());
+        self.metrics.count_request(&req);
         match req {
             Request::Ping => {
                 self.metrics.replies_ok.inc();

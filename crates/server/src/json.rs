@@ -169,6 +169,14 @@ impl Json {
         }
     }
 
+    /// The value as an object's key/value pairs.
+    pub fn as_object(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(pairs) => Some(pairs),
+            _ => None,
+        }
+    }
+
     /// The value as an `f64` vector (errors on any non-number element).
     pub fn as_f64_vec(&self) -> Option<Vec<f64>> {
         self.as_array()?.iter().map(Json::as_f64).collect()

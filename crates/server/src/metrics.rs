@@ -10,6 +10,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use mda_routing::BackendId;
 
+use crate::protocol::Request;
+
 /// Histogram bucket upper bounds, in microseconds (the last bucket is
 /// implicit +inf). Roughly logarithmic from 50 µs to 5 s.
 pub const BUCKET_BOUNDS_US: [u64; 16] = [
@@ -141,7 +143,7 @@ impl Gauge {
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Requests received, by operation (indexed like [`Metrics::OPS`]).
-    pub requests: [Counter; 13],
+    pub requests: [Counter; Request::VERBS.len()],
     /// Successful replies sent.
     pub replies_ok: Counter,
     /// Error replies sent (all codes).
@@ -220,33 +222,18 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Operation labels, index-aligned with [`Metrics::requests`].
-    pub const OPS: [&'static str; 13] = [
-        "ping",
-        "metrics",
-        "distance",
-        "batch",
-        "knn",
-        "search",
-        "upload_dataset",
-        "list_datasets",
-        "drop_dataset",
-        "open_stream",
-        "push_points",
-        "subscribe",
-        "close_stream",
-    ];
+    /// Operation labels (the wire verbs), index-aligned with
+    /// [`Metrics::requests`].
+    pub const OPS: &'static [&'static str] = Request::VERBS;
 
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Counts one received request for `op` (unknown labels are ignored).
-    pub fn count_request(&self, op: &str) {
-        if let Some(i) = Self::OPS.iter().position(|&o| o == op) {
-            self.requests[i].inc();
-        }
+    /// Counts one received request under its verb.
+    pub fn count_request(&self, req: &Request) {
+        self.requests[req.verb()].inc();
     }
 
     /// Counts one routed compute request for `backend`.
@@ -431,6 +418,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mda_distance::DistanceKind;
 
     #[test]
     fn histogram_quantiles_land_in_right_buckets() {
@@ -466,12 +454,23 @@ mod tests {
     #[test]
     fn render_contains_every_series() {
         let m = Metrics::new();
-        m.count_request("distance");
+        m.count_request(&Request::Distance {
+            kind: DistanceKind::Dtw,
+            p: Vec::new(),
+            q: Vec::new(),
+            threshold: None,
+            band: None,
+            deadline_ms: None,
+            accuracy: None,
+        });
         m.record_batch(2, 10);
         m.replies_ok.inc();
         m.shed.inc();
         m.queue_wait.record_us(120);
-        m.count_request("upload_dataset");
+        m.count_request(&Request::UploadDataset {
+            name: "d".into(),
+            entries: Vec::new(),
+        });
         m.record_pipeline_submit(4);
         m.open_connections.set(3);
         m.datasets_resident.set(2);
@@ -479,8 +478,16 @@ mod tests {
         m.count_backend(BackendId::Analog);
         m.route_fallbacks.inc();
         m.fleet_in_use_uw.set(580_000);
-        m.count_request("open_stream");
-        m.count_request("push_points");
+        m.count_request(&Request::OpenStream {
+            window: 1,
+            band: 0,
+            query: vec![0.0],
+            threshold: None,
+        });
+        m.count_request(&Request::PushPoints {
+            stream_id: 1,
+            points: Vec::new(),
+        });
         m.streams_open.set(1);
         m.streams_opened.inc();
         m.stream_points.add(7);

@@ -119,6 +119,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::marker::PhantomData;
 use std::time::Duration;
 
 use mda_distance::DistanceKind;
@@ -457,23 +458,17 @@ pub enum Request {
 }
 
 impl Request {
-    /// Short operation label, used for metrics.
+    /// Every verb's wire name, in verb-table order.
+    pub(crate) const VERBS: &'static [&'static str] = <Request as Table>::NAMES;
+
+    /// Short operation label (the wire verb), used for metrics.
     pub fn op(&self) -> &'static str {
-        match self {
-            Request::Ping => "ping",
-            Request::Metrics => "metrics",
-            Request::Distance { .. } => "distance",
-            Request::Batch { .. } => "batch",
-            Request::Knn { .. } => "knn",
-            Request::Search { .. } => "search",
-            Request::OpenStream { .. } => "open_stream",
-            Request::PushPoints { .. } => "push_points",
-            Request::Subscribe { .. } => "subscribe",
-            Request::CloseStream { .. } => "close_stream",
-            Request::UploadDataset { .. } => "upload_dataset",
-            Request::ListDatasets => "list_datasets",
-            Request::DropDataset { .. } => "drop_dataset",
-        }
+        Self::VERBS[self.verb()]
+    }
+
+    /// This request's index into [`Request::VERBS`].
+    pub(crate) fn verb(&self) -> usize {
+        self.shape()
     }
 
     /// The request's queue-wait budget, if any.
@@ -534,6 +529,18 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
+    /// Every error code.
+    pub const ALL: [ErrorCode; 8] = [
+        ErrorCode::Overloaded,
+        ErrorCode::Timeout,
+        ErrorCode::BadRequest,
+        ErrorCode::InvalidParameter,
+        ErrorCode::NotFound,
+        ErrorCode::StaleVersion,
+        ErrorCode::ShuttingDown,
+        ErrorCode::Internal,
+    ];
+
     /// The wire name.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -550,18 +557,7 @@ impl ErrorCode {
 
     /// Parses the wire name.
     pub fn parse(s: &str) -> Option<ErrorCode> {
-        [
-            ErrorCode::Overloaded,
-            ErrorCode::Timeout,
-            ErrorCode::BadRequest,
-            ErrorCode::InvalidParameter,
-            ErrorCode::NotFound,
-            ErrorCode::StaleVersion,
-            ErrorCode::ShuttingDown,
-            ErrorCode::Internal,
-        ]
-        .into_iter()
-        .find(|c| c.as_str() == s)
+        ErrorCode::ALL.into_iter().find(|c| c.as_str() == s)
     }
 }
 
@@ -765,942 +761,627 @@ impl Reply {
     }
 }
 
-fn opt_f64(v: &Json, key: &str) -> Result<Option<f64>, ProtocolError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(x) => x
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| ProtocolError::Schema(format!("`{key}` must be a number"))),
+// The codec: one table per message, walked in both directions.
+
+/// A JSON object under construction, in wire order.
+type Obj = Vec<(String, Json)>;
+
+fn schema(message: String) -> ProtocolError {
+    ProtocolError::Schema(message)
+}
+
+/// A field codec: how one field type is written under its key, and read
+/// back. Most fields are a single [`Value`]; the dataset-reference triple
+/// and the routing report span several keys.
+trait Codec {
+    type T;
+    fn put(key: &'static str, v: &Self::T, out: &mut Obj);
+    /// `Ok(None)` when the field is absent (a `null` counts as absent).
+    fn get(obj: &Json, key: &'static str) -> Result<Option<Self::T>, ProtocolError>;
+}
+
+/// A codec for a value that sits under exactly one key.
+trait Value {
+    type T;
+    fn to_json(v: &Self::T) -> Json;
+    fn from_json(j: &Json, key: &str) -> Result<Self::T, ProtocolError>;
+}
+
+impl<V: Value> Codec for V {
+    type T = V::T;
+    fn put(key: &'static str, v: &V::T, out: &mut Obj) {
+        out.push((key.into(), V::to_json(v)));
     }
-}
-
-fn opt_usize(v: &Json, key: &str) -> Result<Option<usize>, ProtocolError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(x) => x.as_usize().map(Some).ok_or_else(|| {
-            ProtocolError::Schema(format!("`{key}` must be a non-negative integer"))
-        }),
-    }
-}
-
-fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, ProtocolError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(x) => x.as_u64().map(Some).ok_or_else(|| {
-            ProtocolError::Schema(format!("`{key}` must be a non-negative integer"))
-        }),
-    }
-}
-
-fn req_series(v: &Json, key: &str) -> Result<Vec<f64>, ProtocolError> {
-    v.get(key)
-        .and_then(Json::as_f64_vec)
-        .ok_or_else(|| ProtocolError::Schema(format!("`{key}` must be an array of numbers")))
-}
-
-fn req_usize(v: &Json, key: &str) -> Result<usize, ProtocolError> {
-    v.get(key)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| ProtocolError::Schema(format!("`{key}` must be a non-negative integer")))
-}
-
-fn req_u64(v: &Json, key: &str) -> Result<u64, ProtocolError> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ProtocolError::Schema(format!("`{key}` must be a non-negative integer")))
-}
-
-fn opt_str(v: &Json, key: &str) -> Result<Option<String>, ProtocolError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(x) => x
-            .as_str()
-            .map(|s| Some(s.to_string()))
-            .ok_or_else(|| ProtocolError::Schema(format!("`{key}` must be a string"))),
-    }
-}
-
-/// Parses the optional dataset reference triple (`dataset`,
-/// `dataset_name`, `version`) shared by the compute ops.
-fn opt_dataset_ref(v: &Json) -> Result<Option<DatasetRef>, ProtocolError> {
-    let id = opt_str(v, "dataset")?;
-    let name = opt_str(v, "dataset_name")?;
-    let version = opt_u64(v, "version")?;
-    if id.is_some() && name.is_some() {
-        return Err(ProtocolError::Schema(
-            "specify `dataset` or `dataset_name`, not both".into(),
-        ));
-    }
-    if version.is_some() && name.is_none() {
-        return Err(ProtocolError::Schema(
-            "`version` requires `dataset_name`".into(),
-        ));
-    }
-    if id.is_none() && name.is_none() {
-        return Ok(None);
-    }
-    Ok(Some(DatasetRef { id, name, version }))
-}
-
-fn req_dataset_ref(v: &Json) -> Result<DatasetRef, ProtocolError> {
-    opt_dataset_ref(v)?
-        .ok_or_else(|| ProtocolError::Schema("a `dataset` id or `dataset_name` is required".into()))
-}
-
-fn req_kind(v: &Json) -> Result<DistanceKind, ProtocolError> {
-    let name = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ProtocolError::Schema("`kind` must be a string".into()))?;
-    name.parse()
-        .map_err(|e| ProtocolError::Schema(format!("{e}")))
-}
-
-/// Parses the optional `accuracy` field: the string `"exact"` or an
-/// object `{"tolerance": ε}`. Domain violations (non-finite or negative
-/// ε, unknown names) are [`ProtocolError::InvalidParameter`], so clients
-/// get the typed `invalid_parameter` reply rather than `bad_request`.
-fn opt_accuracy(v: &Json) -> Result<Option<Sla>, ProtocolError> {
-    let field = match v.get("accuracy") {
-        None | Some(Json::Null) => return Ok(None),
-        Some(x) => x,
-    };
-    match field {
-        Json::Str(s) if s == "exact" => Ok(Some(Sla::Exact)),
-        Json::Str(s) => Err(ProtocolError::InvalidParameter(format!(
-            "unknown accuracy `{s}` (expected \"exact\" or {{\"tolerance\": ε}})"
-        ))),
-        Json::Obj(_) => {
-            let eps = field
-                .get("tolerance")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| {
-                    ProtocolError::Schema(
-                        "`accuracy` object must carry a numeric `tolerance`".into(),
-                    )
-                })?;
-            let sla = Sla::tolerance(eps)
-                .map_err(|e| ProtocolError::InvalidParameter(format!("`accuracy`: {e}")))?;
-            Ok(Some(sla))
+    fn get(obj: &Json, key: &'static str) -> Result<Option<V::T>, ProtocolError> {
+        match obj.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(j) => V::from_json(j, key).map(Some),
         }
-        _ => Err(ProtocolError::Schema(
-            "`accuracy` must be \"exact\" or {\"tolerance\": ε}".into(),
-        )),
     }
 }
+
+/// A presence rule: when a field is written, and what a missing key reads
+/// as. `F` is the Rust field's type.
+trait Presence<C: Codec> {
+    type F;
+    fn put(key: &'static str, v: &Self::F, out: &mut Obj);
+    fn get(obj: &Json, key: &'static str) -> Result<Self::F, ProtocolError>;
+}
+
+/// Always written; a missing key is a schema error.
+struct Req;
+/// Written only when `Some`; a missing key reads as `None`.
+struct Opt;
+/// Always written; a missing key reads as the default.
+struct Def;
+/// A field that depends on the dataset reference, which must precede it in
+/// wire order. `Dataset<false>` is the inline alternative to one (`pairs`,
+/// `train`, `haystack`): written and required without one, forbidden with
+/// one. `Dataset<true>` applies only with one (`series_index`): written
+/// with one (a missing key reads as the default), forbidden without.
+struct Dataset<const WITH: bool>;
+type Inline = Dataset<false>;
+type Resident = Dataset<true>;
+
+impl<C: Codec> Presence<C> for Req {
+    type F = C::T;
+    fn put(key: &'static str, v: &C::T, out: &mut Obj) {
+        C::put(key, v, out);
+    }
+    fn get(obj: &Json, key: &'static str) -> Result<C::T, ProtocolError> {
+        C::get(obj, key)?.ok_or_else(|| schema(format!("`{key}` is missing")))
+    }
+}
+
+impl<C: Codec> Presence<C> for Opt {
+    type F = Option<C::T>;
+    fn put(key: &'static str, v: &Option<C::T>, out: &mut Obj) {
+        if let Some(v) = v {
+            C::put(key, v, out);
+        }
+    }
+    fn get(obj: &Json, key: &'static str) -> Result<Option<C::T>, ProtocolError> {
+        C::get(obj, key)
+    }
+}
+
+impl<C: Codec<T: Default>> Presence<C> for Def {
+    type F = C::T;
+    fn put(key: &'static str, v: &C::T, out: &mut Obj) {
+        C::put(key, v, out);
+    }
+    fn get(obj: &Json, key: &'static str) -> Result<C::T, ProtocolError> {
+        Ok(C::get(obj, key)?.unwrap_or_default())
+    }
+}
+
+impl<C: Codec<T: Default>, const WITH: bool> Presence<C> for Dataset<WITH> {
+    type F = C::T;
+    fn put(key: &'static str, v: &C::T, out: &mut Obj) {
+        if DatasetRefs::carried(out) == WITH {
+            C::put(key, v, out);
+        }
+    }
+    fn get(obj: &Json, key: &'static str) -> Result<C::T, ProtocolError> {
+        if DatasetRefs::carried(obj.as_object().unwrap_or_default()) == WITH {
+            return match WITH {
+                true => <Def as Presence<C>>::get(obj, key),
+                false => <Req as Presence<C>>::get(obj, key),
+            };
+        }
+        if obj.get(key).is_some() {
+            let rule = if WITH { "requires" } else { "excludes" };
+            return Err(schema(format!("`{key}` {rule} a dataset reference")));
+        }
+        Ok(C::T::default())
+    }
+}
+
+/// Declares single-key value codecs: the Rust type, its JSON form, and a
+/// reader that returns `None` for a mistyped value.
+macro_rules! value_codecs {
+    ($($codec:ident: $t:ty = $to:expr, $from:expr, $what:literal;)*) => {$(
+        struct $codec;
+        impl Value for $codec {
+            type T = $t;
+            fn to_json(v: &$t) -> Json {
+                ($to)(v)
+            }
+            fn from_json(j: &Json, key: &str) -> Result<$t, ProtocolError> {
+                ($from)(j).ok_or_else(|| schema(format!(concat!("`{}` must be ", $what), key)))
+            }
+        }
+    )*};
+}
+
+value_codecs! {
+    F64: f64 = |v: &f64| Json::Num(*v), Json::as_f64, "a number";
+    Usize: usize = |v: &usize| Json::Num(*v as f64), Json::as_usize, "a non-negative integer";
+    U64: u64 = |v: &u64| Json::Num(*v as f64), Json::as_u64, "a non-negative integer";
+    Count: usize = |v: &usize| Json::Num(*v as f64), |j: &Json| j.as_usize().filter(|&n| n > 0),
+        "a positive integer";
+    U32: u32 = |v: &u32| Json::Num(f64::from(*v)),
+        |j: &Json| j.as_u64().and_then(|x| u32::try_from(x).ok()),
+        "a 32-bit non-negative integer";
+    Bool: bool = |v: &bool| Json::Bool(*v), |j: &Json| match j {
+        Json::Bool(b) => Some(*b),
+        _ => None,
+    }, "a bool";
+    Str: String = |v: &String| Json::Str(v.clone()), |j: &Json| j.as_str().map(str::to_string),
+        "a string";
+    Name: String = |v: &String| Json::Str(v.clone()),
+        |j: &Json| j.as_str().filter(|s| !s.is_empty()).map(str::to_string),
+        "a non-empty string";
+    Series: Vec<f64> = |v: &Vec<f64>| Json::from_f64s(v), Json::as_f64_vec,
+        "an array of numbers";
+    Kind: DistanceKind = |v: &DistanceKind| Json::Str(v.abbrev().into()),
+        |j: &Json| j.as_str()?.parse().ok(),
+        "a distance kind abbreviation";
+    Code: ErrorCode = |v: &ErrorCode| Json::Str(v.as_str().into()),
+        |j: &Json| ErrorCode::parse(j.as_str()?), "a known error code";
+    Backend: BackendId = |v: &BackendId| Json::Str(v.as_str().into()),
+        |j: &Json| j.as_str()?.parse().ok(), "a backend name";
+    Pair: (Vec<f64>, Vec<f64>) =
+        |(p, q): &(Vec<f64>, Vec<f64>)| Json::Arr(vec![Json::from_f64s(p), Json::from_f64s(q)]),
+        |j: &Json| match j.as_array()? {
+            [p, q] => Some((p.as_f64_vec()?, q.as_f64_vec()?)),
+            _ => None,
+        },
+        "`[p, q]` pairs of number arrays";
+}
+
+/// A JSON array of `V` values.
+struct List<V>(PhantomData<V>);
+
+impl<V: Value> Value for List<V> {
+    type T = Vec<V::T>;
+    fn to_json(v: &Vec<V::T>) -> Json {
+        Json::Arr(v.iter().map(V::to_json).collect())
+    }
+    fn from_json(j: &Json, key: &str) -> Result<Vec<V::T>, ProtocolError> {
+        j.as_array()
+            .ok_or_else(|| schema(format!("`{key}` must be an array")))?
+            .iter()
+            .map(|item| V::from_json(item, key))
+            .collect()
+    }
+}
+
+/// The accuracy SLA: the string `"exact"` or `{"tolerance": ε}`. Domain
+/// violations (non-finite or negative ε, unknown names) are
+/// [`ProtocolError::InvalidParameter`], so clients get the typed
+/// `invalid_parameter` reply rather than `bad_request`.
+struct Accuracy;
+
+const EXACT: &str = "exact";
+const TOLERANCE: &str = "tolerance";
+
+impl Value for Accuracy {
+    type T = Sla;
+    fn to_json(v: &Sla) -> Json {
+        match v {
+            Sla::Exact => Json::Str(EXACT.into()),
+            Sla::Tolerance(eps) => Json::Obj(vec![(TOLERANCE.into(), Json::Num(*eps))]),
+        }
+    }
+    fn from_json(j: &Json, key: &str) -> Result<Sla, ProtocolError> {
+        match j {
+            Json::Str(s) if s == EXACT => Ok(Sla::Exact),
+            Json::Str(s) => Err(ProtocolError::InvalidParameter(format!(
+                "unknown {key} `{s}` (expected \"{EXACT}\" or {{\"{TOLERANCE}\": ε}})"
+            ))),
+            Json::Obj(_) => {
+                let eps = <Req as Presence<F64>>::get(j, TOLERANCE)?;
+                Sla::tolerance(eps)
+                    .map_err(|e| ProtocolError::InvalidParameter(format!("`{key}`: {e}")))
+            }
+            _ => Err(schema(format!(
+                "`{key}` must be \"{EXACT}\" or {{\"{TOLERANCE}\": ε}}"
+            ))),
+        }
+    }
+}
+
+/// The dataset-reference triple: `dataset` (the content-addressed id) or
+/// `dataset_name` plus an optional pinned `version`. It owns all three
+/// keys, so the table key it is declared under is not used.
+struct DatasetRefs;
+
+const DATASET_ID: &str = "dataset";
+const DATASET_NAME: &str = "dataset_name";
+const DATASET_VERSION: &str = "version";
+
+impl DatasetRefs {
+    /// Whether `pairs` (an object under construction or decoded) carries a
+    /// dataset reference.
+    fn carried(pairs: &[(String, Json)]) -> bool {
+        pairs
+            .iter()
+            .any(|(k, v)| (k == DATASET_ID || k == DATASET_NAME) && *v != Json::Null)
+    }
+}
+
+impl Codec for DatasetRefs {
+    type T = DatasetRef;
+    fn put(_: &'static str, r: &DatasetRef, out: &mut Obj) {
+        <Opt as Presence<Str>>::put(DATASET_ID, &r.id, out);
+        <Opt as Presence<Str>>::put(DATASET_NAME, &r.name, out);
+        <Opt as Presence<U64>>::put(DATASET_VERSION, &r.version, out);
+    }
+    fn get(obj: &Json, _: &'static str) -> Result<Option<DatasetRef>, ProtocolError> {
+        let r = DatasetRef {
+            id: <Opt as Presence<Str>>::get(obj, DATASET_ID)?,
+            name: <Opt as Presence<Str>>::get(obj, DATASET_NAME)?,
+            version: <Opt as Presence<U64>>::get(obj, DATASET_VERSION)?,
+        };
+        if r.id.is_some() && r.name.is_some() {
+            return Err(schema(format!(
+                "specify `{DATASET_ID}` or `{DATASET_NAME}`, not both"
+            )));
+        }
+        if r.version.is_some() && r.name.is_none() {
+            return Err(schema(format!(
+                "a pinned version requires `{DATASET_NAME}`"
+            )));
+        }
+        Ok((r.id.is_some() || r.name.is_some()).then_some(r))
+    }
+}
+
+/// An upload entry: written as an object, but a bare series array also
+/// decodes (with label 0).
+struct Entry;
+
+impl Value for Entry {
+    type T = DatasetEntry;
+    fn to_json(e: &DatasetEntry) -> Json {
+        DatasetEntry::to_json(e)
+    }
+    fn from_json(j: &Json, key: &str) -> Result<DatasetEntry, ProtocolError> {
+        match j {
+            Json::Arr(_) => Ok(DatasetEntry {
+                label: 0,
+                series: Series::from_json(j, key)?,
+            }),
+            _ => DatasetEntry::from_json(j, key),
+        }
+    }
+}
+
+/// A stream event's pruning threshold: an unbounded (infinite) threshold
+/// has no JSON form, so it is omitted and a missing key reads as infinite.
+struct Threshold;
+
+impl Codec for Threshold {
+    type T = f64;
+    fn put(key: &'static str, v: &f64, out: &mut Obj) {
+        if v.is_finite() {
+            F64::put(key, v, out);
+        }
+    }
+    fn get(obj: &Json, key: &'static str) -> Result<Option<f64>, ProtocolError> {
+        Ok(Some(F64::get(obj, key)?.unwrap_or(f64::INFINITY)))
+    }
+}
+
+/// The routing report on a reply: `backend` plus its `bound`.
+struct Route;
+
+const BOUND: &str = "bound";
+
+impl Codec for Route {
+    type T = RouteInfo;
+    fn put(key: &'static str, r: &RouteInfo, out: &mut Obj) {
+        Backend::put(key, &r.backend, out);
+        Bound::put(BOUND, &r.bound, out);
+    }
+    fn get(obj: &Json, key: &'static str) -> Result<Option<RouteInfo>, ProtocolError> {
+        let Some(backend) = Backend::get(obj, key)? else {
+            return Ok(None);
+        };
+        let bound = <Req as Presence<Bound>>::get(obj, BOUND)?;
+        Ok(Some(RouteInfo { backend, bound }))
+    }
+}
+
+/// The wire key of a declared field: its name, or the identifier after `as`.
+macro_rules! wire_key {
+    ($field:tt) => {
+        stringify!($field)
+    };
+    ($field:tt $key:ident) => {
+        stringify!($key)
+    };
+}
+
+/// Declares structs that travel as JSON objects, fields in wire order as
+/// `field: Presence Codec` (the wire key is the field name unless `as key`
+/// renames it).
+macro_rules! wire_structs {
+    ($($ty:ident { $($field:ident $(as $key:ident)?: $presence:ident $codec:ty),* $(,)? })*) => {$(
+        impl Value for $ty {
+            type T = $ty;
+            fn to_json(v: &$ty) -> Json {
+                let mut out = Obj::new();
+                $(<$presence as Presence<$codec>>::put(wire_key!($field $($key)?), &v.$field, &mut out);)*
+                Json::Obj(out)
+            }
+            fn from_json(j: &Json, _: &str) -> Result<$ty, ProtocolError> {
+                Ok($ty {
+                    $($field: <$presence as Presence<$codec>>::get(j, wire_key!($field $($key)?))?,)*
+                })
+            }
+        }
+    )*};
+}
+
+wire_structs! {
+    TrainInstance { label: Req Usize, series: Req Series }
+    DatasetEntry { label: Def Usize, series: Req Series }
+    DatasetSummary {
+        name: Req Str,
+        dataset_id: Req Str,
+        version: Req U64,
+        count: Req Usize,
+        bytes: Req U64,
+    }
+    MatchRecord { epoch: Req U64, distance: Req F64 }
+    Bound { abs: Req F64, rel: Req F64 }
+    StreamEventBody { stream_id: Req U64, epoch: Req U64, state: Req Tagged<StreamEventState> }
+    Envelope { id: Req U64, req as op: Req Tagged<Request> }
+}
+
+/// A message enum described by a [`wire_table!`]: one shape per variant.
+trait Table: Sized {
+    /// Each shape's wire name, in declaration order.
+    const NAMES: &'static [&'static str];
+    /// This value's index into [`Table::NAMES`].
+    fn shape(&self) -> usize;
+    /// Appends this value's fields, in wire order.
+    fn put_fields(&self, out: &mut Obj);
+    /// Reads the shape called `name` from `obj`.
+    fn get_fields(name: &str, obj: &Json) -> Result<Self, ProtocolError>;
+}
+
+/// A [`Table`] enum whose shape is named by a tag key (`op`, `state`).
+struct Tagged<E>(PhantomData<E>);
+
+impl<E: Table> Codec for Tagged<E> {
+    type T = E;
+    fn put(key: &'static str, v: &E, out: &mut Obj) {
+        out.push((key.into(), Json::Str(E::NAMES[v.shape()].into())));
+        v.put_fields(out);
+    }
+    fn get(obj: &Json, key: &'static str) -> Result<Option<E>, ProtocolError> {
+        Str::get(obj, key)?
+            .map(|name| E::get_fields(&name, obj))
+            .transpose()
+    }
+}
+
+/// Declares a message enum's table: per variant, its wire name and its
+/// fields in wire order as `field: Presence Codec`. The wire key is the
+/// field name unless `as key` renames it. `"name" = true` writes the name
+/// as a constant marker key before the fields.
+macro_rules! wire_table {
+    ($ty:ident {$(
+        $variant:ident $name:tt $(= $flag:literal)? {
+            $($field:tt $(as $key:ident)?: $presence:ident $codec:ty),* $(,)?
+        }
+    )*}) => {
+        impl Table for $ty {
+            const NAMES: &'static [&'static str] = &[$($name),*];
+
+            fn shape(&self) -> usize {
+                enum Shape {
+                    $($variant),*
+                }
+                match self {
+                    $($ty::$variant { .. } => Shape::$variant as usize,)*
+                }
+            }
+
+            fn put_fields(&self, out: &mut Obj) {
+                match self {$(
+                    $ty::$variant { .. } => {
+                        $(out.push(($name.into(), Json::Bool($flag)));)?
+                        $(if let $ty::$variant { $field: v, .. } = self {
+                            <$presence as Presence<$codec>>::put(wire_key!($field $($key)?), v, out);
+                        })*
+                    }
+                )*}
+            }
+
+            fn get_fields(name: &str, obj: &Json) -> Result<Self, ProtocolError> {
+                Ok(match name {
+                    $($name => $ty::$variant {
+                        $($field: <$presence as Presence<$codec>>::get(obj, wire_key!($field $($key)?))?,)*
+                    },)*
+                    _ => return Err(schema(format!("unknown {} `{name}`", stringify!($ty)))),
+                })
+            }
+        }
+    };
+}
+
+// The compute verbs write `threshold`, `band`, `deadline_ms` and `accuracy`
+// before `kind`; `search` and `open_stream` always write `band`. Metrics
+// count requests in this order.
+wire_table! { Request {
+    Ping "ping" {}
+    Metrics "metrics" {}
+    Distance "distance" {
+        threshold: Opt F64,
+        band: Opt Usize,
+        deadline_ms: Opt U64,
+        accuracy: Opt Accuracy,
+        kind: Req Kind,
+        p: Req Series,
+        q: Req Series,
+    }
+    Batch "batch" {
+        threshold: Opt F64,
+        band: Opt Usize,
+        deadline_ms: Opt U64,
+        accuracy: Opt Accuracy,
+        kind: Req Kind,
+        dataset: Opt DatasetRefs,
+        query: Opt Series,
+        pairs: Inline List<Pair>,
+    }
+    Knn "knn" {
+        threshold: Opt F64,
+        band: Opt Usize,
+        deadline_ms: Opt U64,
+        accuracy: Opt Accuracy,
+        kind: Req Kind,
+        k: Req Count,
+        query: Req Series,
+        dataset: Opt DatasetRefs,
+        train: Inline List<TrainInstance>,
+    }
+    Search "search" {
+        band: Def Usize,
+        deadline_ms: Opt U64,
+        accuracy: Opt Accuracy,
+        query: Req Series,
+        dataset: Opt DatasetRefs,
+        series_index: Resident Usize,
+        haystack: Inline Series,
+        window: Req Count,
+    }
+    UploadDataset "upload_dataset" { name: Req Name, entries: Req List<Entry> }
+    ListDatasets "list_datasets" {}
+    DropDataset "drop_dataset" { dataset: Req DatasetRefs }
+    OpenStream "open_stream" {
+        threshold: Opt F64,
+        window: Req Count,
+        band: Def Usize,
+        query: Req Series,
+    }
+    PushPoints "push_points" { stream_id: Req U64, points: Req Series }
+    Subscribe "subscribe" { stream_id: Req U64 }
+    CloseStream "close_stream" { stream_id: Req U64 }
+}}
+
+// A success reply's shape is named by a marker key in its `result`: a
+// field of its own, or a constant `true` written first.
+wire_table! { ResponseBody {
+    Pong "pong" = true {}
+    MetricsText "text" { 0 as text: Req Str }
+    DatasetUploaded "dataset_id" {
+        dataset_id: Req Str,
+        version: Req U64,
+        count: Req Usize,
+        bytes: Req U64,
+    }
+    Datasets "datasets" { items as datasets: Req List<DatasetSummary> }
+    Dropped "dropped" { count as dropped: Req Usize }
+    StreamEvent "event" { 0 as event: Req StreamEventBody }
+    Subscribed "subscribed" = true { stream_id: Req U64, epoch: Req U64, warm: Def Bool }
+    StreamClosed "closed" = true { stream_id: Req U64, pushed: Req U64 }
+    StreamOpened "burn_in" { stream_id: Req U64, shard: Req U32, burn_in: Req U64 }
+    PointsPushed "accepted" { stream_id: Req U64, accepted: Req U64, epoch: Req U64 }
+    Distance "value" { value: Req F64 }
+    Batch "values" { values: Req Series }
+    Knn "label" { label: Req Usize, score: Req F64, nearest_index: Req Usize }
+    Search "offset" { offset: Req Usize, distance: Req F64 }
+    Error ERROR { code: Req Code, message: Def Str }
+}}
+
+wire_table! { StreamEventState {
+    Warming "warming" { seen: Req U64, burn_in: Req U64 }
+    Ready "ready" {
+        mean: Req F64,
+        std_dev: Req F64,
+        decision: Req Str,
+        bound: Req F64,
+        threshold: Req Threshold,
+        motif: Opt MatchRecord,
+        discord: Opt MatchRecord,
+    }
+}}
+
+/// The request rules no single field codec can check.
+fn check_request(req: &Request) -> Result<(), ProtocolError> {
+    match req {
+        Request::OpenStream {
+            threshold: Some(t), ..
+        } if !(t.is_finite() && *t > 0.0) => Err(ProtocolError::InvalidParameter(
+            "a stream threshold must be finite and positive".into(),
+        )),
+        Request::Batch {
+            dataset: Some(_),
+            query: None,
+            ..
+        } => Err(schema("a batch over a dataset needs a query series".into())),
+        _ => Ok(()),
+    }
+}
+
+const ID: &str = "id";
+const OK: &str = "ok";
+const RESULT: &str = "result";
+const ERROR: &str = "error";
+const BACKEND: &str = "backend";
 
 /// Decodes a request envelope from a frame payload.
 ///
 /// # Errors
 ///
 /// [`ProtocolError::Json`] for malformed JSON, [`ProtocolError::Schema`]
-/// for structurally invalid messages. Never panics, whatever the payload.
+/// for structurally invalid messages and
+/// [`ProtocolError::InvalidParameter`] for out-of-domain values; with
+/// several faults, the first in wire order is reported. Never panics,
+/// whatever the payload.
 pub fn decode_request(payload: &[u8]) -> Result<Envelope, ProtocolError> {
-    let v = Json::parse(payload)?;
-    let id = v
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ProtocolError::Schema("`id` must be a non-negative integer".into()))?;
-    let op = v
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ProtocolError::Schema("`op` must be a string".into()))?;
-    let req = match op {
-        "ping" => Request::Ping,
-        "metrics" => Request::Metrics,
-        "distance" => Request::Distance {
-            kind: req_kind(&v)?,
-            p: req_series(&v, "p")?,
-            q: req_series(&v, "q")?,
-            threshold: opt_f64(&v, "threshold")?,
-            band: opt_usize(&v, "band")?,
-            deadline_ms: opt_u64(&v, "deadline_ms")?,
-            accuracy: opt_accuracy(&v)?,
-        },
-        "batch" => {
-            let dataset = opt_dataset_ref(&v)?;
-            let (pairs, query) = if dataset.is_some() {
-                if v.get("pairs").is_some() {
-                    return Err(ProtocolError::Schema(
-                        "`pairs` and a dataset reference are mutually exclusive".into(),
-                    ));
-                }
-                (Vec::new(), Some(req_series(&v, "query")?))
-            } else {
-                let pairs_json = v
-                    .get("pairs")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| ProtocolError::Schema("`pairs` must be an array".into()))?;
-                let mut pairs = Vec::with_capacity(pairs_json.len());
-                for pair in pairs_json {
-                    let items = pair.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                        ProtocolError::Schema("each pair must be `[p, q]`".into())
-                    })?;
-                    let p = items[0].as_f64_vec().ok_or_else(|| {
-                        ProtocolError::Schema("pair series must be numbers".into())
-                    })?;
-                    let q = items[1].as_f64_vec().ok_or_else(|| {
-                        ProtocolError::Schema("pair series must be numbers".into())
-                    })?;
-                    pairs.push((p, q));
-                }
-                (pairs, None)
-            };
-            Request::Batch {
-                kind: req_kind(&v)?,
-                pairs,
-                query,
-                dataset,
-                threshold: opt_f64(&v, "threshold")?,
-                band: opt_usize(&v, "band")?,
-                deadline_ms: opt_u64(&v, "deadline_ms")?,
-                accuracy: opt_accuracy(&v)?,
-            }
-        }
-        "knn" => {
-            let dataset = opt_dataset_ref(&v)?;
-            let train = if dataset.is_some() {
-                if v.get("train").is_some() {
-                    return Err(ProtocolError::Schema(
-                        "`train` and a dataset reference are mutually exclusive".into(),
-                    ));
-                }
-                Vec::new()
-            } else {
-                let train_json = v
-                    .get("train")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| ProtocolError::Schema("`train` must be an array".into()))?;
-                let mut train = Vec::with_capacity(train_json.len());
-                for inst in train_json {
-                    let label = inst.get("label").and_then(Json::as_usize).ok_or_else(|| {
-                        ProtocolError::Schema("train `label` must be an integer".into())
-                    })?;
-                    let series =
-                        inst.get("series")
-                            .and_then(Json::as_f64_vec)
-                            .ok_or_else(|| {
-                                ProtocolError::Schema("train `series` must be numbers".into())
-                            })?;
-                    train.push(TrainInstance { label, series });
-                }
-                train
-            };
-            let k = req_usize(&v, "k")?;
-            if k == 0 {
-                return Err(ProtocolError::Schema("`k` must be at least 1".into()));
-            }
-            Request::Knn {
-                kind: req_kind(&v)?,
-                k,
-                query: req_series(&v, "query")?,
-                train,
-                dataset,
-                threshold: opt_f64(&v, "threshold")?,
-                band: opt_usize(&v, "band")?,
-                deadline_ms: opt_u64(&v, "deadline_ms")?,
-                accuracy: opt_accuracy(&v)?,
-            }
-        }
-        "search" => {
-            let window = req_usize(&v, "window")?;
-            if window == 0 {
-                return Err(ProtocolError::Schema("`window` must be at least 1".into()));
-            }
-            let dataset = opt_dataset_ref(&v)?;
-            let (haystack, series_index) = if dataset.is_some() {
-                if v.get("haystack").is_some() {
-                    return Err(ProtocolError::Schema(
-                        "`haystack` and a dataset reference are mutually exclusive".into(),
-                    ));
-                }
-                (Vec::new(), opt_usize(&v, "series_index")?.unwrap_or(0))
-            } else {
-                if v.get("series_index").is_some() {
-                    return Err(ProtocolError::Schema(
-                        "`series_index` requires a dataset reference".into(),
-                    ));
-                }
-                (req_series(&v, "haystack")?, 0)
-            };
-            Request::Search {
-                query: req_series(&v, "query")?,
-                haystack,
-                dataset,
-                series_index,
-                window,
-                band: opt_usize(&v, "band")?.unwrap_or(0),
-                deadline_ms: opt_u64(&v, "deadline_ms")?,
-                accuracy: opt_accuracy(&v)?,
-            }
-        }
-        "open_stream" => {
-            let window = req_usize(&v, "window")?;
-            if window == 0 {
-                return Err(ProtocolError::Schema("`window` must be at least 1".into()));
-            }
-            let threshold = opt_f64(&v, "threshold")?;
-            if let Some(t) = threshold {
-                if !t.is_finite() || t <= 0.0 {
-                    return Err(ProtocolError::InvalidParameter(
-                        "`threshold` must be finite and positive".into(),
-                    ));
-                }
-            }
-            Request::OpenStream {
-                window,
-                band: opt_usize(&v, "band")?.unwrap_or(0),
-                query: req_series(&v, "query")?,
-                threshold,
-            }
-        }
-        "push_points" => Request::PushPoints {
-            stream_id: req_u64(&v, "stream_id")?,
-            points: req_series(&v, "points")?,
-        },
-        "subscribe" => Request::Subscribe {
-            stream_id: req_u64(&v, "stream_id")?,
-        },
-        "close_stream" => Request::CloseStream {
-            stream_id: req_u64(&v, "stream_id")?,
-        },
-        "upload_dataset" => {
-            let name = opt_str(&v, "name")?
-                .filter(|n| !n.is_empty())
-                .ok_or_else(|| ProtocolError::Schema("`name` must be a non-empty string".into()))?;
-            let entries_json = v
-                .get("entries")
-                .and_then(Json::as_array)
-                .ok_or_else(|| ProtocolError::Schema("`entries` must be an array".into()))?;
-            let mut entries = Vec::with_capacity(entries_json.len());
-            for entry in entries_json {
-                let parsed = match entry {
-                    Json::Arr(_) => entry
-                        .as_f64_vec()
-                        .map(|series| DatasetEntry { label: 0, series }),
-                    Json::Obj(_) => {
-                        let label = match entry.get("label") {
-                            None | Some(Json::Null) => Some(0),
-                            Some(l) => l.as_usize(),
-                        };
-                        match (label, entry.get("series").and_then(Json::as_f64_vec)) {
-                            (Some(label), Some(series)) => Some(DatasetEntry { label, series }),
-                            _ => None,
-                        }
-                    }
-                    _ => None,
-                };
-                entries.push(parsed.ok_or_else(|| {
-                    ProtocolError::Schema(
-                        "each entry must be an array of numbers or `{label?, series}`".into(),
-                    )
-                })?);
-            }
-            Request::UploadDataset { name, entries }
-        }
-        "list_datasets" => Request::ListDatasets,
-        "drop_dataset" => Request::DropDataset {
-            dataset: req_dataset_ref(&v)?,
-        },
-        other => return Err(ProtocolError::Schema(format!("unknown op `{other}`"))),
-    };
-    Ok(Envelope { id, req })
+    let env = Envelope::from_json(&Json::parse(payload)?, "request")?;
+    check_request(&env.req)?;
+    Ok(env)
 }
 
 /// Encodes a request envelope to a frame payload.
 pub fn encode_request(env: &Envelope) -> Vec<u8> {
-    let mut pairs: Vec<(String, Json)> = vec![
-        ("id".into(), Json::Num(env.id as f64)),
-        ("op".into(), Json::Str(env.req.op().into())),
-    ];
-    let mut push_opts = |threshold: &Option<f64>,
-                         band: &Option<usize>,
-                         deadline_ms: &Option<u64>,
-                         accuracy: &Option<Sla>| {
-        if let Some(t) = threshold {
-            pairs.push(("threshold".into(), Json::Num(*t)));
-        }
-        if let Some(b) = band {
-            pairs.push(("band".into(), Json::Num(*b as f64)));
-        }
-        if let Some(d) = deadline_ms {
-            pairs.push(("deadline_ms".into(), Json::Num(*d as f64)));
-        }
-        // Omitted entirely when absent, keeping default-option requests
-        // byte-identical to the pre-routing wire format.
-        match accuracy {
-            None => {}
-            Some(Sla::Exact) => pairs.push(("accuracy".into(), Json::Str("exact".into()))),
-            Some(Sla::Tolerance(e)) => pairs.push((
-                "accuracy".into(),
-                Json::Obj(vec![("tolerance".into(), Json::Num(*e))]),
-            )),
-        }
-    };
-    let dataset_ref_pairs = |r: &DatasetRef| {
-        let mut out: Vec<(String, Json)> = Vec::new();
-        if let Some(id) = &r.id {
-            out.push(("dataset".into(), Json::Str(id.clone())));
-        }
-        if let Some(name) = &r.name {
-            out.push(("dataset_name".into(), Json::Str(name.clone())));
-        }
-        if let Some(version) = r.version {
-            out.push(("version".into(), Json::Num(version as f64)));
-        }
-        out
-    };
-    match &env.req {
-        Request::Ping | Request::Metrics | Request::ListDatasets => {}
-        Request::Distance {
-            kind,
-            p,
-            q,
-            threshold,
-            band,
-            deadline_ms,
-            accuracy,
-        } => {
-            push_opts(threshold, band, deadline_ms, accuracy);
-            pairs.push(("kind".into(), Json::Str(kind.abbrev().into())));
-            pairs.push(("p".into(), Json::from_f64s(p)));
-            pairs.push(("q".into(), Json::from_f64s(q)));
-        }
-        Request::Batch {
-            kind,
-            pairs: ps,
-            query,
-            dataset,
-            threshold,
-            band,
-            deadline_ms,
-            accuracy,
-        } => {
-            push_opts(threshold, band, deadline_ms, accuracy);
-            pairs.push(("kind".into(), Json::Str(kind.abbrev().into())));
-            if let Some(dataset) = dataset {
-                pairs.extend(dataset_ref_pairs(dataset));
-                if let Some(query) = query {
-                    pairs.push(("query".into(), Json::from_f64s(query)));
-                }
-            } else {
-                pairs.push((
-                    "pairs".into(),
-                    Json::Arr(
-                        ps.iter()
-                            .map(|(p, q)| Json::Arr(vec![Json::from_f64s(p), Json::from_f64s(q)]))
-                            .collect(),
-                    ),
-                ));
-            }
-        }
-        Request::Knn {
-            kind,
-            k,
-            query,
-            train,
-            dataset,
-            threshold,
-            band,
-            deadline_ms,
-            accuracy,
-        } => {
-            push_opts(threshold, band, deadline_ms, accuracy);
-            pairs.push(("kind".into(), Json::Str(kind.abbrev().into())));
-            pairs.push(("k".into(), Json::Num(*k as f64)));
-            pairs.push(("query".into(), Json::from_f64s(query)));
-            if let Some(dataset) = dataset {
-                pairs.extend(dataset_ref_pairs(dataset));
-            } else {
-                pairs.push((
-                    "train".into(),
-                    Json::Arr(
-                        train
-                            .iter()
-                            .map(|t| {
-                                Json::Obj(vec![
-                                    ("label".into(), Json::Num(t.label as f64)),
-                                    ("series".into(), Json::from_f64s(&t.series)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-        }
-        Request::Search {
-            query,
-            haystack,
-            dataset,
-            series_index,
-            window,
-            band,
-            deadline_ms,
-            accuracy,
-        } => {
-            push_opts(&None, &Some(*band), deadline_ms, accuracy);
-            pairs.push(("query".into(), Json::from_f64s(query)));
-            if let Some(dataset) = dataset {
-                pairs.extend(dataset_ref_pairs(dataset));
-                pairs.push(("series_index".into(), Json::Num(*series_index as f64)));
-            } else {
-                pairs.push(("haystack".into(), Json::from_f64s(haystack)));
-            }
-            pairs.push(("window".into(), Json::Num(*window as f64)));
-        }
-        Request::OpenStream {
-            window,
-            band,
-            query,
-            threshold,
-        } => {
-            if let Some(t) = threshold {
-                pairs.push(("threshold".into(), Json::Num(*t)));
-            }
-            pairs.push(("window".into(), Json::Num(*window as f64)));
-            pairs.push(("band".into(), Json::Num(*band as f64)));
-            pairs.push(("query".into(), Json::from_f64s(query)));
-        }
-        Request::PushPoints { stream_id, points } => {
-            pairs.push(("stream_id".into(), Json::Num(*stream_id as f64)));
-            pairs.push(("points".into(), Json::from_f64s(points)));
-        }
-        Request::Subscribe { stream_id } | Request::CloseStream { stream_id } => {
-            pairs.push(("stream_id".into(), Json::Num(*stream_id as f64)));
-        }
-        Request::UploadDataset { name, entries } => {
-            pairs.push(("name".into(), Json::Str(name.clone())));
-            pairs.push((
-                "entries".into(),
-                Json::Arr(
-                    entries
-                        .iter()
-                        .map(|e| {
-                            Json::Obj(vec![
-                                ("label".into(), Json::Num(e.label as f64)),
-                                ("series".into(), Json::from_f64s(&e.series)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        Request::DropDataset { dataset } => {
-            pairs.extend(dataset_ref_pairs(dataset));
-        }
-    }
-    Json::Obj(pairs).to_string().into_bytes()
+    Envelope::to_json(env).to_string().into_bytes()
 }
 
 /// Encodes a reply to a frame payload.
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    let mut pairs: Vec<(String, Json)> = vec![("id".into(), Json::Num(reply.id as f64))];
-    match &reply.body {
-        ResponseBody::Error { code, message } => {
-            pairs.push(("ok".into(), Json::Bool(false)));
-            pairs.push((
-                "error".into(),
-                Json::Obj(vec![
-                    ("code".into(), Json::Str(code.as_str().into())),
-                    ("message".into(), Json::Str(message.clone())),
-                ]),
-            ));
-        }
-        body => {
-            pairs.push(("ok".into(), Json::Bool(true)));
-            let result = match body {
-                ResponseBody::Pong => Json::Obj(vec![("pong".into(), Json::Bool(true))]),
-                ResponseBody::MetricsText(text) => {
-                    Json::Obj(vec![("text".into(), Json::Str(text.clone()))])
-                }
-                ResponseBody::Distance { value } => {
-                    Json::Obj(vec![("value".into(), Json::Num(*value))])
-                }
-                ResponseBody::Batch { values } => {
-                    Json::Obj(vec![("values".into(), Json::from_f64s(values))])
-                }
-                ResponseBody::Knn {
-                    label,
-                    score,
-                    nearest_index,
-                } => Json::Obj(vec![
-                    ("label".into(), Json::Num(*label as f64)),
-                    ("score".into(), Json::Num(*score)),
-                    ("nearest_index".into(), Json::Num(*nearest_index as f64)),
-                ]),
-                ResponseBody::Search { offset, distance } => Json::Obj(vec![
-                    ("offset".into(), Json::Num(*offset as f64)),
-                    ("distance".into(), Json::Num(*distance)),
-                ]),
-                ResponseBody::DatasetUploaded {
-                    dataset_id,
-                    version,
-                    count,
-                    bytes,
-                } => Json::Obj(vec![
-                    ("dataset_id".into(), Json::Str(dataset_id.clone())),
-                    ("version".into(), Json::Num(*version as f64)),
-                    ("count".into(), Json::Num(*count as f64)),
-                    ("bytes".into(), Json::Num(*bytes as f64)),
-                ]),
-                ResponseBody::Datasets { items } => Json::Obj(vec![(
-                    "datasets".into(),
-                    Json::Arr(
-                        items
-                            .iter()
-                            .map(|d| {
-                                Json::Obj(vec![
-                                    ("name".into(), Json::Str(d.name.clone())),
-                                    ("dataset_id".into(), Json::Str(d.dataset_id.clone())),
-                                    ("version".into(), Json::Num(d.version as f64)),
-                                    ("count".into(), Json::Num(d.count as f64)),
-                                    ("bytes".into(), Json::Num(d.bytes as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                )]),
-                ResponseBody::Dropped { count } => {
-                    Json::Obj(vec![("dropped".into(), Json::Num(*count as f64))])
-                }
-                ResponseBody::StreamOpened {
-                    stream_id,
-                    shard,
-                    burn_in,
-                } => Json::Obj(vec![
-                    ("stream_id".into(), Json::Num(*stream_id as f64)),
-                    ("shard".into(), Json::Num(*shard as f64)),
-                    ("burn_in".into(), Json::Num(*burn_in as f64)),
-                ]),
-                ResponseBody::PointsPushed {
-                    stream_id,
-                    accepted,
-                    epoch,
-                } => Json::Obj(vec![
-                    ("stream_id".into(), Json::Num(*stream_id as f64)),
-                    ("accepted".into(), Json::Num(*accepted as f64)),
-                    ("epoch".into(), Json::Num(*epoch as f64)),
-                ]),
-                ResponseBody::Subscribed {
-                    stream_id,
-                    epoch,
-                    warm,
-                } => Json::Obj(vec![
-                    ("subscribed".into(), Json::Bool(true)),
-                    ("stream_id".into(), Json::Num(*stream_id as f64)),
-                    ("epoch".into(), Json::Num(*epoch as f64)),
-                    ("warm".into(), Json::Bool(*warm)),
-                ]),
-                ResponseBody::StreamClosed { stream_id, pushed } => Json::Obj(vec![
-                    ("closed".into(), Json::Bool(true)),
-                    ("stream_id".into(), Json::Num(*stream_id as f64)),
-                    ("pushed".into(), Json::Num(*pushed as f64)),
-                ]),
-                ResponseBody::StreamEvent(event) => {
-                    Json::Obj(vec![("event".into(), encode_stream_event(event))])
-                }
-                ResponseBody::Error { .. } => unreachable!("handled above"),
-            };
-            pairs.push(("result".into(), result));
-        }
-    }
-    if let Some(route) = &reply.route {
-        pairs.push(("backend".into(), Json::Str(route.backend.as_str().into())));
-        pairs.push((
-            "bound".into(),
-            Json::Obj(vec![
-                ("abs".into(), Json::Num(route.bound.abs)),
-                ("rel".into(), Json::Num(route.bound.rel)),
-            ]),
-        ));
-    }
-    Json::Obj(pairs).to_string().into_bytes()
+    let mut out = Obj::new();
+    U64::put(ID, &reply.id, &mut out);
+    let ok = !matches!(reply.body, ResponseBody::Error { .. });
+    Bool::put(OK, &ok, &mut out);
+    let mut body = Obj::new();
+    reply.body.put_fields(&mut body);
+    out.push((if ok { RESULT } else { ERROR }.into(), Json::Obj(body)));
+    <Opt as Presence<Route>>::put(BACKEND, &reply.route, &mut out);
+    Json::Obj(out).to_string().into_bytes()
 }
 
-fn encode_stream_event(event: &StreamEventBody) -> Json {
-    let mut fields: Vec<(String, Json)> = vec![
-        ("stream_id".into(), Json::Num(event.stream_id as f64)),
-        ("epoch".into(), Json::Num(event.epoch as f64)),
-    ];
-    match &event.state {
-        StreamEventState::Warming { seen, burn_in } => {
-            fields.push(("state".into(), Json::Str("warming".into())));
-            fields.push(("seen".into(), Json::Num(*seen as f64)));
-            fields.push(("burn_in".into(), Json::Num(*burn_in as f64)));
-        }
-        StreamEventState::Ready {
-            mean,
-            std_dev,
-            decision,
-            bound,
-            threshold,
-            motif,
-            discord,
-        } => {
-            fields.push(("state".into(), Json::Str("ready".into())));
-            fields.push(("mean".into(), Json::Num(*mean)));
-            fields.push(("std_dev".into(), Json::Num(*std_dev)));
-            fields.push(("decision".into(), Json::Str(decision.clone())));
-            fields.push(("bound".into(), Json::Num(*bound)));
-            // An unbounded (infinite) threshold is not representable in
-            // JSON: omitted on the wire, restored at decode.
-            if threshold.is_finite() {
-                fields.push(("threshold".into(), Json::Num(*threshold)));
-            }
-            for (key, record) in [("motif", motif), ("discord", discord)] {
-                if let Some(r) = record {
-                    fields.push((
-                        key.into(),
-                        Json::Obj(vec![
-                            ("epoch".into(), Json::Num(r.epoch as f64)),
-                            ("distance".into(), Json::Num(r.distance)),
-                        ]),
-                    ));
-                }
-            }
-        }
-    }
-    Json::Obj(fields)
-}
-
-fn decode_match_record(v: &Json, key: &str) -> Result<Option<MatchRecord>, ProtocolError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(r) => {
-            let epoch = r
-                .get("epoch")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ProtocolError::Schema(format!("`{key}` lacks `epoch`")))?;
-            let distance = r
-                .get("distance")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ProtocolError::Schema(format!("`{key}` lacks `distance`")))?;
-            Ok(Some(MatchRecord { epoch, distance }))
-        }
-    }
-}
-
-fn decode_stream_event(ev: &Json) -> Result<StreamEventBody, ProtocolError> {
-    let stream_id = req_u64(ev, "stream_id")?;
-    let epoch = req_u64(ev, "epoch")?;
-    let state = match ev.get("state").and_then(Json::as_str) {
-        Some("warming") => StreamEventState::Warming {
-            seen: req_u64(ev, "seen")?,
-            burn_in: req_u64(ev, "burn_in")?,
-        },
-        Some("ready") => StreamEventState::Ready {
-            mean: ev
-                .get("mean")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ProtocolError::Schema("event lacks numeric `mean`".into()))?,
-            std_dev: ev
-                .get("std_dev")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ProtocolError::Schema("event lacks numeric `std_dev`".into()))?,
-            decision: ev
-                .get("decision")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtocolError::Schema("event lacks `decision`".into()))?
-                .to_string(),
-            bound: ev
-                .get("bound")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ProtocolError::Schema("event lacks numeric `bound`".into()))?,
-            threshold: ev
-                .get("threshold")
-                .and_then(Json::as_f64)
-                .unwrap_or(f64::INFINITY),
-            motif: decode_match_record(ev, "motif")?,
-            discord: decode_match_record(ev, "discord")?,
-        },
-        _ => {
-            return Err(ProtocolError::Schema(
-                "event `state` must be \"warming\" or \"ready\"".into(),
-            ))
-        }
-    };
-    Ok(StreamEventBody {
-        stream_id,
-        epoch,
-        state,
-    })
-}
-
-/// Decodes a reply from a frame payload. The reply shape is inferred from
-/// the result keys, so the caller matches on [`ResponseBody`].
+/// Decodes a reply from a frame payload. An error reply carries its body
+/// under `error`; a success reply's shape is named by the first marker key
+/// its `result` holds (see the reply table), so the caller matches on
+/// [`ResponseBody`].
 ///
 /// # Errors
 ///
-/// [`ProtocolError::Json`] / [`ProtocolError::Schema`]; never panics.
+/// [`ProtocolError::Json`] / [`ProtocolError::Schema`], naming the
+/// missing or mistyped key; never panics.
 pub fn decode_reply(payload: &[u8]) -> Result<Reply, ProtocolError> {
     let v = Json::parse(payload)?;
-    let id = v
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ProtocolError::Schema("reply `id` must be an integer".into()))?;
-    let ok = match v.get("ok") {
-        Some(Json::Bool(b)) => *b,
-        _ => return Err(ProtocolError::Schema("reply `ok` must be a bool".into())),
-    };
-    let route = decode_route(&v)?;
-    if !ok {
-        let err = v
-            .get("error")
-            .ok_or_else(|| ProtocolError::Schema("error reply lacks `error`".into()))?;
-        let code = err
-            .get("code")
-            .and_then(Json::as_str)
-            .and_then(ErrorCode::parse)
-            .ok_or_else(|| ProtocolError::Schema("unknown error `code`".into()))?;
-        let message = err
-            .get("message")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        return Ok(Reply {
-            id,
-            body: ResponseBody::Error { code, message },
-            route,
-        });
-    }
-    let result = v
-        .get("result")
-        .ok_or_else(|| ProtocolError::Schema("ok reply lacks `result`".into()))?;
-    let body = if result.get("pong").is_some() {
-        ResponseBody::Pong
-    } else if let Some(text) = result.get("text").and_then(Json::as_str) {
-        ResponseBody::MetricsText(text.to_string())
-    } else if let Some(dataset_id) = result.get("dataset_id").and_then(Json::as_str) {
-        let version = result
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ProtocolError::Schema("upload result lacks `version`".into()))?;
-        let count = result
-            .get("count")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| ProtocolError::Schema("upload result lacks `count`".into()))?;
-        let bytes = result
-            .get("bytes")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ProtocolError::Schema("upload result lacks `bytes`".into()))?;
-        ResponseBody::DatasetUploaded {
-            dataset_id: dataset_id.to_string(),
-            version,
-            count,
-            bytes,
-        }
-    } else if let Some(Json::Arr(list)) = result.get("datasets") {
-        let mut items = Vec::with_capacity(list.len());
-        for d in list {
-            let name = d
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtocolError::Schema("dataset summary lacks `name`".into()))?
-                .to_string();
-            let dataset_id = d
-                .get("dataset_id")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtocolError::Schema("dataset summary lacks `dataset_id`".into()))?
-                .to_string();
-            let version = d
-                .get("version")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ProtocolError::Schema("dataset summary lacks `version`".into()))?;
-            let count = d
-                .get("count")
-                .and_then(Json::as_usize)
-                .ok_or_else(|| ProtocolError::Schema("dataset summary lacks `count`".into()))?;
-            let bytes = d
-                .get("bytes")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ProtocolError::Schema("dataset summary lacks `bytes`".into()))?;
-            items.push(DatasetSummary {
-                name,
-                dataset_id,
-                version,
-                count,
-                bytes,
-            });
-        }
-        ResponseBody::Datasets { items }
-    } else if let Some(count) = result.get("dropped").and_then(Json::as_usize) {
-        ResponseBody::Dropped { count }
-    } else if let Some(ev) = result.get("event") {
-        ResponseBody::StreamEvent(decode_stream_event(ev)?)
-    } else if result.get("subscribed").is_some() {
-        ResponseBody::Subscribed {
-            stream_id: req_u64(result, "stream_id")?,
-            epoch: req_u64(result, "epoch")?,
-            warm: matches!(result.get("warm"), Some(Json::Bool(true))),
-        }
-    } else if result.get("closed").is_some() {
-        ResponseBody::StreamClosed {
-            stream_id: req_u64(result, "stream_id")?,
-            pushed: req_u64(result, "pushed")?,
-        }
-    } else if result.get("burn_in").is_some() {
-        ResponseBody::StreamOpened {
-            stream_id: req_u64(result, "stream_id")?,
-            shard: req_u64(result, "shard")? as u32,
-            burn_in: req_u64(result, "burn_in")?,
-        }
-    } else if result.get("accepted").is_some() {
-        ResponseBody::PointsPushed {
-            stream_id: req_u64(result, "stream_id")?,
-            accepted: req_u64(result, "accepted")?,
-            epoch: req_u64(result, "epoch")?,
-        }
-    } else if let Some(value) = result.get("value").and_then(Json::as_f64) {
-        ResponseBody::Distance { value }
-    } else if let Some(values) = result.get("values").and_then(Json::as_f64_vec) {
-        ResponseBody::Batch { values }
-    } else if let (Some(label), Some(score), Some(nearest_index)) = (
-        result.get("label").and_then(Json::as_usize),
-        result.get("score").and_then(Json::as_f64),
-        result.get("nearest_index").and_then(Json::as_usize),
-    ) {
-        ResponseBody::Knn {
-            label,
-            score,
-            nearest_index,
-        }
-    } else if let (Some(offset), Some(distance)) = (
-        result.get("offset").and_then(Json::as_usize),
-        result.get("distance").and_then(Json::as_f64),
-    ) {
-        ResponseBody::Search { offset, distance }
-    } else {
-        return Err(ProtocolError::Schema("unrecognized result shape".into()));
-    };
+    let id = <Req as Presence<U64>>::get(&v, ID)?;
+    let ok = <Req as Presence<Bool>>::get(&v, OK)?;
+    let route = <Opt as Presence<Route>>::get(&v, BACKEND)?;
+    let key = if ok { RESULT } else { ERROR };
+    let obj = v
+        .get(key)
+        .ok_or_else(|| schema(format!("`{key}` is missing")))?;
+    let name = ResponseBody::NAMES
+        .iter()
+        .find(|m| (**m == ERROR) != ok && (!ok || obj.get(m).is_some()))
+        .ok_or_else(|| schema(format!("`{key}` has no known shape")))?;
+    let body = ResponseBody::get_fields(name, obj)?;
     Ok(Reply { id, body, route })
-}
-
-/// Parses the optional routing report (`backend` + `bound`) off a reply.
-fn decode_route(v: &Json) -> Result<Option<RouteInfo>, ProtocolError> {
-    let backend = match v.get("backend") {
-        None | Some(Json::Null) => return Ok(None),
-        Some(x) => x
-            .as_str()
-            .ok_or_else(|| ProtocolError::Schema("reply `backend` must be a string".into()))?
-            .parse::<BackendId>()
-            .map_err(|e| ProtocolError::Schema(e.to_string()))?,
-    };
-    let bound = v
-        .get("bound")
-        .ok_or_else(|| ProtocolError::Schema("reply `backend` requires `bound`".into()))?;
-    let abs = bound
-        .get("abs")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| ProtocolError::Schema("reply `bound` lacks numeric `abs`".into()))?;
-    let rel = bound
-        .get("rel")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| ProtocolError::Schema("reply `bound` lacks numeric `rel`".into()))?;
-    Ok(Some(RouteInfo {
-        backend,
-        bound: Bound { abs, rel },
-    }))
 }
 
 #[cfg(test)]

@@ -306,7 +306,7 @@ impl Coalescer {
         let mut offset = 0usize;
         for job in &live {
             let n = job.items.len();
-            let body = assemble(&job.assemble, &outcomes[offset..offset + n]);
+            let body = reject_non_finite(assemble(&job.assemble, &outcomes[offset..offset + n]));
             offset += n;
             self.finish(job, body);
         }
@@ -381,6 +381,25 @@ fn assemble(assemble: &Assemble, outcomes: &[Result<ItemOutcome, DistanceError>]
                 nearest_index: c.nearest_index,
             }
         }
+    }
+}
+
+/// JSON has no form for a non-finite number (it would go out as `null`,
+/// which no client can decode as a result), so a success body carrying one
+/// is answered with a typed `bad_request` instead.
+fn reject_non_finite(body: ResponseBody) -> ResponseBody {
+    let finite = match &body {
+        ResponseBody::Distance { value } => value.is_finite(),
+        ResponseBody::Batch { values } => values.iter().all(|v| v.is_finite()),
+        ResponseBody::Knn { score, .. } => score.is_finite(),
+        _ => true,
+    };
+    if finite {
+        return body;
+    }
+    ResponseBody::Error {
+        code: ErrorCode::BadRequest,
+        message: "result is not finite".into(),
     }
 }
 

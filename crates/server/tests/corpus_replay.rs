@@ -7,9 +7,10 @@
 //!
 //! Two layers are exercised:
 //!
-//! * **codec**: each fixture is fed to `read_frame`/`decode_request`
-//!   directly and must produce exactly the expected typed outcome — never a
-//!   panic, never a silent success for a malformed input;
+//! * **codec**: each fixture is fed to `read_frame`/`decode_request` (or,
+//!   for the reply fixtures, `decode_reply`) directly and must produce
+//!   exactly the expected typed outcome — never a panic, never a silent
+//!   success for a malformed input;
 //! * **live server**: each fixture's raw bytes are thrown at a running
 //!   server socket; whatever happens on that connection, the server must
 //!   keep answering fresh connections.
@@ -20,7 +21,7 @@ use std::time::Duration;
 
 use mda_server::client::Client;
 use mda_server::protocol::{
-    decode_request, read_frame, write_frame, ProtocolError, DEFAULT_MAX_FRAME_BYTES,
+    decode_reply, decode_request, read_frame, write_frame, ProtocolError, DEFAULT_MAX_FRAME_BYTES,
 };
 use mda_server::{Server, ServerConfig};
 
@@ -188,9 +189,9 @@ const PAYLOAD_CORPUS: &[(&str, &[u8], Expect)] = &[
         Expect::DecodeOk,
     ),
     // `1e999` overflows to `inf`, which the codec accepts as a number; the
-    // engine then computes an infinite distance and the reply encodes it as
-    // JSON null. Ugly, but typed and crash-free end to end — pinned here so
-    // any change in that behavior is a conscious one.
+    // engine then computes an infinite distance, which has no JSON form, so
+    // the server answers a typed `bad_request` — pinned here so any change
+    // in that behavior is a conscious one.
     (
         "payload_huge_exponent",
         include_bytes!("corpus/payload_huge_exponent.json"),
@@ -234,6 +235,37 @@ const PAYLOAD_CORPUS: &[(&str, &[u8], Expect)] = &[
     ),
 ];
 
+/// A reply-level fixture a client may receive, and the key its typed
+/// `Schema` error must name.
+const REPLY_CORPUS: &[(&str, &[u8], &str)] = &[
+    // The pre-fix wire form of an overflowed distance.
+    (
+        "reply_value_null",
+        include_bytes!("corpus/reply_value_null.json"),
+        "value",
+    ),
+    (
+        "reply_knn_missing_score",
+        include_bytes!("corpus/reply_knn_missing_score.json"),
+        "score",
+    ),
+    (
+        "reply_unknown_error_code",
+        include_bytes!("corpus/reply_unknown_error_code.json"),
+        "code",
+    ),
+    (
+        "reply_ok_not_bool",
+        include_bytes!("corpus/reply_ok_not_bool.json"),
+        "ok",
+    ),
+    (
+        "reply_backend_without_bound",
+        include_bytes!("corpus/reply_backend_without_bound.json"),
+        "bound",
+    ),
+];
+
 /// Runs one frame-level fixture through `read_frame` (+ `decode_request`
 /// when a payload comes out) and classifies the outcome.
 fn classify_frame(bytes: &[u8]) -> Expect {
@@ -269,6 +301,19 @@ fn payload_corpus_replays_to_expected_typed_outcomes() {
     for (name, bytes, expect) in PAYLOAD_CORPUS {
         let got = classify_payload(bytes);
         assert_eq!(got, *expect, "fixture {name}");
+    }
+}
+
+#[test]
+fn reply_corpus_decodes_to_schema_errors_naming_the_key() {
+    for (name, bytes, key) in REPLY_CORPUS {
+        match decode_reply(bytes) {
+            Err(ProtocolError::Schema(message)) => assert!(
+                message.contains(&format!("`{key}`")),
+                "fixture {name}: {message}"
+            ),
+            other => panic!("fixture {name}: expected a schema error, got {other:?}"),
+        }
     }
 }
 

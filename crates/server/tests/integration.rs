@@ -122,6 +122,47 @@ fn served_similarity_knn_score_matches_the_library_bitwise() {
 }
 
 #[test]
+fn non_finite_results_are_typed_bad_request_replies() {
+    // Finite inputs whose distance overflows: the library answers
+    // `Ok(inf)`, which JSON cannot carry. The server must answer a typed
+    // error its own client decodes, never a success reply with a `null`.
+    let p = [1e308, 1e308];
+    let q = [-1e308, -1e308];
+    let server = start(ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let expect_bad_request = |what: &str, err: ClientError| match err {
+        ClientError::Server { code, message } => {
+            assert_eq!(code, ErrorCode::BadRequest, "{what}: {message}");
+            assert!(message.contains("not finite"), "{what}: {message}");
+        }
+        other => panic!("{what}: expected a bad_request reply, got {other:?}"),
+    };
+    for kind in [DistanceKind::Manhattan, DistanceKind::Hausdorff] {
+        let direct = boxed_distance(kind).evaluate(&p, &q).expect("direct call");
+        assert_eq!(direct, f64::INFINITY, "{kind} must overflow");
+        let err = client
+            .query_distance(kind, &p, &q, &QueryOptions::new())
+            .expect_err("an infinite distance has no JSON form");
+        expect_bad_request(kind.abbrev(), err);
+    }
+    let pairs = [(vec![0.0], vec![1.0]), (p.to_vec(), q.to_vec())];
+    let err = client
+        .query_batch(DistanceKind::Manhattan, &pairs, None, &QueryOptions::new())
+        .expect_err("one infinite batch value");
+    expect_bad_request("batch", err);
+    let train = [TrainInstance {
+        label: 1,
+        series: q.to_vec(),
+    }];
+    let err = client
+        .query_knn(DistanceKind::Manhattan, 1, &p, &train, &QueryOptions::new())
+        .expect_err("an infinite deciding score");
+    expect_bad_request("knn", err);
+    client.ping().expect("the connection keeps serving");
+    server.shutdown_and_join();
+}
+
+#[test]
 fn served_search_matches_direct_subsequence_search() {
     let server = start(ServerConfig::default());
     let mut client = Client::connect(server.local_addr()).expect("connect");
