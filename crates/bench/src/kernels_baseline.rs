@@ -11,6 +11,9 @@
 //!
 //! Everything here is uniform-weight, matching the subsequence-search hot
 //! path the bench times.
+//!
+//! [`analog`] freezes the behavioural analog engine's interpretive stepping
+//! loop the same way, as the reference for the compiled step plan.
 
 /// Sakoe–Chiba admissibility exactly as the old kernels tested it per cell:
 /// `|j·m − i·n| ≤ r·m` in `i128`. `r = None` means no band.
@@ -273,6 +276,166 @@ pub fn search(query: &[f64], haystack: &[f64], window: usize, r: usize) -> Searc
         }
     }
     result
+}
+
+/// The behavioural analog engine's interpretive stepping loop exactly as it
+/// stood before the compiled step plan: every step, every node gathers its
+/// inputs into a scratch `Vec`, matches on its [`NodeOp`], clamps, relaxes,
+/// and the output (plus any probes) is pushed into a trace. It reads the
+/// graph only through its public accessors and carries its own copies of
+/// the module functions and the steady-state evaluation, so later engine
+/// changes cannot drift it.
+///
+/// [`NodeOp`]: mda_core::analog::NodeOp
+pub mod analog {
+    use mda_core::analog::{AnalogGraph, NodeOp, NodeRef, SimulationOutcome};
+    use mda_spice::Trace;
+
+    /// The engine's defaults: 0.1 % convergence band, 2,000,000-step cap.
+    const CONVERGENCE_FRACTION: f64 = 0.001;
+    const MAX_STEPS: usize = 2_000_000;
+
+    fn evaluate(op: &NodeOp, inputs: &[f64], weight: f64) -> f64 {
+        match op {
+            NodeOp::Const(v) => *v,
+            NodeOp::Sub => inputs[0] - inputs[1],
+            NodeOp::Abs => weight * (inputs[0] - inputs[1]).abs(),
+            NodeOp::Min => inputs.iter().copied().fold(f64::INFINITY, f64::min),
+            NodeOp::Max => inputs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            NodeOp::Add => inputs.iter().sum(),
+            NodeOp::AddWeighted(ws) => inputs.iter().zip(ws).map(|(v, w)| v * w).sum(),
+            NodeOp::SelectMatch { threshold } => {
+                if (inputs[0] - inputs[1]).abs() <= *threshold {
+                    inputs[2]
+                } else {
+                    inputs[3]
+                }
+            }
+            NodeOp::Mismatch { threshold, v_step } => {
+                if (inputs[0] - inputs[1]).abs() > *threshold {
+                    *v_step
+                } else {
+                    0.0
+                }
+            }
+        }
+    }
+
+    fn steady_state(graph: &AnalogGraph) -> Vec<f64> {
+        let vcc = graph.vcc();
+        let mut values = vec![0.0; graph.len()];
+        for (i, node) in graph.nodes().iter().enumerate() {
+            let inputs: Vec<f64> = node.inputs().iter().map(|r| values[r.index()]).collect();
+            let v = evaluate(node.op(), &inputs, node.weight()) + node.offset();
+            values[i] = v.clamp(-vcc, vcc);
+        }
+        values
+    }
+
+    /// Simulates `graph` with the engine's default settings.
+    pub fn simulate(graph: &AnalogGraph) -> SimulationOutcome {
+        simulate_with_probes(graph, &[]).0
+    }
+
+    /// Simulates `graph`, recording the waveforms of `probes` as well.
+    pub fn simulate_with_probes(
+        graph: &AnalogGraph,
+        probes: &[NodeRef],
+    ) -> (SimulationOutcome, Vec<Trace>) {
+        let nodes = graph.nodes();
+        let n = graph.len();
+        let steady = steady_state(graph);
+        let out = graph.output().index();
+        let vcc = graph.vcc();
+
+        let min_slow_tau = nodes
+            .iter()
+            .map(|nd| nd.tau())
+            .filter(|&t| t > 1.0e-10)
+            .fold(f64::INFINITY, f64::min);
+        let dt = if min_slow_tau.is_finite() {
+            min_slow_tau / 8.0
+        } else {
+            1.0e-10
+        };
+        let fast_cutoff = dt / 2.0;
+        let mut active = Vec::with_capacity(n);
+        let mut decay = vec![0.0; n];
+        for (i, node) in nodes.iter().enumerate() {
+            if matches!(node.op(), NodeOp::Const(_)) {
+                continue;
+            }
+            active.push(i);
+            decay[i] = if node.tau() <= fast_cutoff {
+                0.0
+            } else {
+                (-dt / node.tau()).exp()
+            };
+        }
+
+        let mut y = vec![0.0; n];
+        for (i, node) in nodes.iter().enumerate() {
+            if let NodeOp::Const(v) = node.op() {
+                y[i] = *v;
+            }
+        }
+
+        let mut times = vec![0.0];
+        let mut values = vec![y[out]];
+        let mut probe_values: Vec<Vec<f64>> = probes.iter().map(|p| vec![y[p.index()]]).collect();
+
+        let band: Vec<f64> = steady
+            .iter()
+            .map(|s| (s.abs() * CONVERGENCE_FRACTION).max(1.0e-6))
+            .collect();
+
+        let mut t = 0.0;
+        let mut steps = 0usize;
+        let mut scratch: Vec<f64> = Vec::with_capacity(8);
+        const SETTLE_CHECK_INTERVAL: usize = 8;
+        loop {
+            steps += 1;
+            t += dt;
+            for &i in &active {
+                let node = &nodes[i];
+                scratch.clear();
+                scratch.extend(node.inputs().iter().map(|r| y[r.index()]));
+                let target =
+                    (evaluate(node.op(), &scratch, node.weight()) + node.offset()).clamp(-vcc, vcc);
+                let d = decay[i];
+                y[i] = if d == 0.0 {
+                    target
+                } else {
+                    target + (y[i] - target) * d
+                };
+            }
+            times.push(t);
+            values.push(y[out]);
+            for (k, p) in probes.iter().enumerate() {
+                probe_values[k].push(y[p.index()]);
+            }
+            if steps.is_multiple_of(SETTLE_CHECK_INTERVAL) || steps >= MAX_STEPS {
+                let all_settled = active.iter().all(|&i| (y[i] - steady[i]).abs() <= band[i]);
+                if all_settled || steps >= MAX_STEPS {
+                    break;
+                }
+            }
+        }
+
+        let trace = Trace::new(times.clone(), values);
+        let convergence_time_s = trace.convergence_time(CONVERGENCE_FRACTION).unwrap_or(t);
+        let outcome = SimulationOutcome {
+            final_voltage: y[out],
+            convergence_time_s,
+            output_trace: trace,
+            steps,
+        };
+        let probe_traces = probe_values
+            .into_iter()
+            .map(|vals| Trace::new(times.clone(), vals))
+            .collect();
+        (outcome, probe_traces)
+    }
 }
 
 #[cfg(test)]

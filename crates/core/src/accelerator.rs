@@ -2,14 +2,19 @@
 //! sequences through the DAC array, run the analog fabric, read the result
 //! back through the ADC array.
 
+use std::collections::{HashMap, VecDeque};
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
 use mda_distance::dtw::Band;
 use mda_distance::{
     Distance, DistanceKind, Dtw, EditDistance, Hamming, Hausdorff, Lcs, Manhattan, Weights,
 };
 use mda_spice::Trace;
 
+use crate::analog::engine::StepPlan;
 use crate::analog::graph::builders;
-use crate::analog::{AnalogEngine, ErrorModel};
+use crate::analog::{AnalogEngine, AnalogGraph, ErrorModel};
 use crate::array::Structure;
 use crate::config::AcceleratorConfig;
 use crate::controller::ConfigurationLib;
@@ -60,6 +65,134 @@ pub struct AnalogOutcome {
     pub output_trace: Trace,
 }
 
+/// Upper bound on the total nodes of the step plans one accelerator keeps
+/// compiled (a DTW plan at length 128 has ~49k). A plan larger than the
+/// whole bound is compiled, used and dropped.
+pub const PLAN_CACHE_NODES: usize = 1 << 16;
+
+/// Everything a builder graph depends on besides the input values (the
+/// error model is re-seeded from the fixed configuration every pair).
+/// Parameters a kind ignores are normalized away so they share one plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct PlanKey {
+    kind: DistanceKind,
+    len_p: usize,
+    len_q: usize,
+    band: Band,
+    threshold: u64,
+    weight: u64,
+}
+
+impl PlanKey {
+    fn new(kind: DistanceKind, params: &FunctionParams, len_p: usize, len_q: usize) -> PlanKey {
+        let thresholded = matches!(
+            kind,
+            DistanceKind::Lcs | DistanceKind::Edit | DistanceKind::Hamming
+        );
+        PlanKey {
+            kind,
+            len_p,
+            len_q,
+            band: if kind == DistanceKind::Dtw {
+                params.band
+            } else {
+                Band::Full
+            },
+            threshold: if thresholded {
+                params.threshold.to_bits()
+            } else {
+                0
+            },
+            weight: params.weight.to_bits(),
+        }
+    }
+}
+
+/// Occupancy of an accelerator's step-plan cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Plans held.
+    pub plans: usize,
+    /// Their total node count (never above [`PLAN_CACHE_NODES`]).
+    pub nodes: usize,
+}
+
+#[derive(Clone, Default)]
+struct Plans {
+    by_key: HashMap<PlanKey, Arc<StepPlan>>,
+    /// Insertion order, oldest first (eviction order).
+    order: VecDeque<PlanKey>,
+    nodes: usize,
+}
+
+/// Compiled step plans by shape, bounded by [`PLAN_CACHE_NODES`] with
+/// oldest-first eviction. Shared by concurrent `compute` calls on one
+/// accelerator; a clone starts with the same plans.
+#[derive(Default)]
+struct PlanCache(Mutex<Plans>);
+
+impl PlanCache {
+    fn lock(&self) -> MutexGuard<'_, Plans> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get_or_build(&self, key: PlanKey, graph: impl FnOnce() -> AnalogGraph) -> Arc<StepPlan> {
+        if let Some(plan) = self.lock().by_key.get(&key) {
+            return Arc::clone(plan);
+        }
+        let plan = Arc::new(StepPlan::build(&graph()));
+        let size = plan.len();
+        if size <= PLAN_CACHE_NODES {
+            let mut plans = self.lock();
+            if !plans.by_key.contains_key(&key) {
+                while plans.nodes + size > PLAN_CACHE_NODES {
+                    let oldest = plans.order.pop_front().expect("nodes > 0 means a plan");
+                    let evicted = plans.by_key.remove(&oldest).expect("ordered keys are held");
+                    plans.nodes -= evicted.len();
+                }
+                plans.nodes += size;
+                plans.order.push_back(key);
+                plans.by_key.insert(key, Arc::clone(&plan));
+            }
+        }
+        plan
+    }
+
+    fn stats(&self) -> PlanCacheStats {
+        let plans = self.lock();
+        PlanCacheStats {
+            plans: plans.by_key.len(),
+            nodes: plans.nodes,
+        }
+    }
+}
+
+impl Clone for PlanCache {
+    fn clone(&self) -> Self {
+        PlanCache(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl fmt::Debug for PlanCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("PlanCache").field(&self.stats()).finish()
+    }
+}
+
+/// A pair encoded for the fabric, with the step plan of its graph shape.
+struct PreparedPair {
+    plan: Arc<StepPlan>,
+    p_volts: Vec<f64>,
+    q_volts: Vec<f64>,
+}
+
+impl PreparedPair {
+    /// The input voltages to stamp onto the plan's sources.
+    fn stamp(&self) -> Option<(&[f64], &[f64])> {
+        Some((&self.p_volts, &self.q_volts))
+    }
+}
+
 /// The reconfigurable memristor-based distance accelerator.
 ///
 /// See the crate-level docs for an end-to-end example.
@@ -72,6 +205,7 @@ pub struct DistanceAccelerator {
     configured: Option<(DistanceKind, FunctionParams)>,
     /// Count of reconfigurations performed (for reporting).
     reconfigurations: usize,
+    plans: PlanCache,
 }
 
 impl DistanceAccelerator {
@@ -85,6 +219,7 @@ impl DistanceAccelerator {
             engine: AnalogEngine::new(),
             configured: None,
             reconfigurations: 0,
+            plans: PlanCache::default(),
         }
     }
 
@@ -119,6 +254,17 @@ impl DistanceAccelerator {
         kind: DistanceKind,
         params: FunctionParams,
     ) -> Result<(), AcceleratorError> {
+        self.check_params(kind, &params)?;
+        self.configured = Some((kind, params));
+        self.reconfigurations += 1;
+        Ok(())
+    }
+
+    fn check_params(
+        &self,
+        kind: DistanceKind,
+        params: &FunctionParams,
+    ) -> Result<(), AcceleratorError> {
         if !params.threshold.is_finite() || params.threshold < 0.0 {
             return Err(AcceleratorError::InvalidConfig {
                 reason: format!("threshold must be non-negative, got {}", params.threshold),
@@ -126,9 +272,12 @@ impl DistanceAccelerator {
         }
         // Validate the weight maps onto memristor ratios.
         self.lib.configuration(kind).weight_ratios(params.weight)?;
-        self.configured = Some((kind, params));
-        self.reconfigurations += 1;
         Ok(())
+    }
+
+    /// Occupancy of this accelerator's compiled-plan cache.
+    pub fn plan_cache(&self) -> PlanCacheStats {
+        self.plans.stats()
     }
 
     /// The currently configured function.
@@ -191,64 +340,9 @@ impl DistanceAccelerator {
         let kind = *kind;
         // Validate inputs via the digital reference first (shape errors).
         let reference = Self::reference_distance(kind, params, p, q)?;
-
-        // DAC encoding.
-        let p_volts = self.encoder.encode(p)?;
-        let q_volts = self.encoder.encode(q)?;
-        let thr_volts = self.config.value_to_voltage(params.threshold);
-
-        let mut errors = ErrorModel::new(self.config.noise_seed);
-        let graph = match kind {
-            DistanceKind::Dtw => builders::dtw(
-                &self.config,
-                &p_volts,
-                &q_volts,
-                params.weight,
-                params.band,
-                &mut errors,
-            ),
-            DistanceKind::Lcs => builders::lcs(
-                &self.config,
-                &p_volts,
-                &q_volts,
-                thr_volts,
-                params.weight,
-                &mut errors,
-            ),
-            DistanceKind::Edit => {
-                builders::edit(&self.config, &p_volts, &q_volts, thr_volts, &mut errors)
-            }
-            DistanceKind::Hausdorff => {
-                builders::hausdorff(&self.config, &p_volts, &q_volts, params.weight, &mut errors)
-            }
-            DistanceKind::Hamming => builders::hamming(
-                &self.config,
-                &p_volts,
-                &q_volts,
-                thr_volts,
-                &vec![params.weight; p.len().min(q.len())],
-                &mut errors,
-            ),
-            DistanceKind::Manhattan => builders::manhattan(
-                &self.config,
-                &p_volts,
-                &q_volts,
-                &vec![params.weight; p.len().min(q.len())],
-                &mut errors,
-            ),
-        };
-
-        let sim = self.engine.simulate(&graph);
-
-        // ADC read-out and decoding.
-        let quantized = self.config.adc.quantize(sim.final_voltage);
-        let value = match kind {
-            // Step-counting functions decode in Vstep units.
-            DistanceKind::Lcs | DistanceKind::Edit | DistanceKind::Hamming => {
-                quantized / self.config.v_step
-            }
-            _ => self.config.voltage_to_value(quantized),
-        };
+        let pair = self.prepare(kind, params, p, q)?;
+        let (sim, _) = self.engine.simulate_plan(&pair.plan, pair.stamp(), &[]);
+        let value = self.decode(kind, sim.final_voltage);
 
         let relative_error = if reference.abs() > 1e-12 {
             ((value - reference) / reference).abs()
@@ -277,6 +371,107 @@ impl DistanceAccelerator {
             tiling,
             output_trace: sim.output_trace,
         })
+    }
+
+    /// The decoded value alone of one computation of `kind` with `params`,
+    /// as if configured with them: the same checks and errors, in the same
+    /// order, as [`Self::configure_with`] followed by [`Self::compute`],
+    /// and bitwise the same value. No waveform is recorded. The
+    /// accelerator's own configuration is left untouched, so one instance
+    /// can serve requests of any kind concurrently and share its plans.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::configure_with`] and [`Self::compute`].
+    pub fn value_with(
+        &self,
+        kind: DistanceKind,
+        params: &FunctionParams,
+        p: &[f64],
+        q: &[f64],
+    ) -> Result<f64, AcceleratorError> {
+        self.check_params(kind, params)?;
+        Self::reference_distance(kind, params, p, q)?;
+        let pair = self.prepare(kind, params, p, q)?;
+        let settled = self.engine.settle(&pair.plan, pair.stamp(), &[]);
+        Ok(self.decode(kind, settled.final_voltage))
+    }
+
+    /// Encodes both sequences and fetches (or compiles and caches) the step
+    /// plan of their graph shape.
+    fn prepare(
+        &self,
+        kind: DistanceKind,
+        params: &FunctionParams,
+        p: &[f64],
+        q: &[f64],
+    ) -> Result<PreparedPair, AcceleratorError> {
+        let p_volts = self.encoder.encode(p)?;
+        let q_volts = self.encoder.encode(q)?;
+        let key = PlanKey::new(kind, params, p.len(), q.len());
+        let plan = self
+            .plans
+            .get_or_build(key, || self.build_graph(kind, params, &p_volts, &q_volts));
+        Ok(PreparedPair {
+            plan,
+            p_volts,
+            q_volts,
+        })
+    }
+
+    /// The fabric graph for one pair, with the offsets of the configured
+    /// noise seed.
+    fn build_graph(
+        &self,
+        kind: DistanceKind,
+        params: &FunctionParams,
+        p_volts: &[f64],
+        q_volts: &[f64],
+    ) -> AnalogGraph {
+        let config = &self.config;
+        let thr_volts = config.value_to_voltage(params.threshold);
+        let weights = || vec![params.weight; p_volts.len().min(q_volts.len())];
+        let mut errors = ErrorModel::new(config.noise_seed);
+        match kind {
+            DistanceKind::Dtw => builders::dtw(
+                config,
+                p_volts,
+                q_volts,
+                params.weight,
+                params.band,
+                &mut errors,
+            ),
+            DistanceKind::Lcs => builders::lcs(
+                config,
+                p_volts,
+                q_volts,
+                thr_volts,
+                params.weight,
+                &mut errors,
+            ),
+            DistanceKind::Edit => builders::edit(config, p_volts, q_volts, thr_volts, &mut errors),
+            DistanceKind::Hausdorff => {
+                builders::hausdorff(config, p_volts, q_volts, params.weight, &mut errors)
+            }
+            DistanceKind::Hamming => {
+                builders::hamming(config, p_volts, q_volts, thr_volts, &weights(), &mut errors)
+            }
+            DistanceKind::Manhattan => {
+                builders::manhattan(config, p_volts, q_volts, &weights(), &mut errors)
+            }
+        }
+    }
+
+    /// ADC read-out and decoding of a settled output voltage.
+    fn decode(&self, kind: DistanceKind, final_voltage: f64) -> f64 {
+        let quantized = self.config.adc.quantize(final_voltage);
+        match kind {
+            // Step-counting functions decode in Vstep units.
+            DistanceKind::Lcs | DistanceKind::Edit | DistanceKind::Hamming => {
+                quantized / self.config.v_step
+            }
+            _ => self.config.voltage_to_value(quantized),
+        }
     }
 }
 

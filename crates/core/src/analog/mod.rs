@@ -21,4 +21,4 @@ pub mod graph;
 
 pub use engine::{AnalogEngine, SimulationOutcome};
 pub use error_model::ErrorModel;
-pub use graph::{AnalogGraph, NodeOp, NodeRef};
+pub use graph::{AnalogGraph, Node, NodeOp, NodeRef};
